@@ -28,10 +28,22 @@ final class SymMatrix private (val n: Int, val data: Array[Double]) extends Seri
 }
 
 object SymMatrix {
-  def zeros(n: Int): SymMatrix = new SymMatrix(n, new Array[Double](n.toLong.toInt * n))
+  /** Largest n whose n*n entries fit in one JVM array (n = 46340). */
+  val MaxN: Int = math.sqrt(Int.MaxValue - 8.0).toInt
+
+  /** Rejects an n whose n*n entries do not fit in one JVM array. */
+  def checkSize(n: Int): Unit =
+    require(n >= 0 && n.toLong * n <= Int.MaxValue - 8,
+      s"n = $n is outside 0..$MaxN: an n x n matrix of n*n = ${n.toLong * n} entries does not fit in one array")
+
+  def zeros(n: Int): SymMatrix = {
+    checkSize(n)
+    new SymMatrix(n, new Array[Double](n * n))
+  }
 
   /** Wrap an existing flat row-major array (must be length n*n and symmetric). */
   def wrap(n: Int, data: Array[Double]): SymMatrix = {
+    checkSize(n)
     require(data.length == n * n, s"expected ${n * n} entries, got ${data.length}")
     new SymMatrix(n, data)
   }

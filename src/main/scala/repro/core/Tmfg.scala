@@ -16,11 +16,11 @@ final case class TmfgResult(graph: WGraph, tree: BubbleTree, rounds: Int,
 /** Parallel batched TMFG construction (paper §IV, Algorithm 1).
   *
   * Up to `prefix` vertices are inserted per round: the faces with the
-  * highest best-vertex gains are selected (a parallel sort / max over the
-  * per-face GAINS table), conflicts where one vertex is the best of
-  * several faces are resolved in favor of the max-gain face, and the
-  * selected vertices are inserted simultaneously. `prefix = 1` reproduces
-  * the sequential TMFG of Massara et al. exactly.
+  * highest best-vertex gains are selected from the per-face GAINS table
+  * (`selectBatch`), conflicts where one vertex is the best of several
+  * faces are resolved in favor of the max-gain face, and the selected
+  * vertices are inserted simultaneously. `prefix = 1` reproduces the
+  * sequential TMFG of Massara et al. exactly.
   *
   * The GAINS table is maintained incrementally: each face caches its best
   * remaining vertex, and each vertex keeps a reverse index of the faces
@@ -31,6 +31,103 @@ final case class TmfgResult(graph: WGraph, tree: BubbleTree, rounds: Int,
   */
 object Tmfg {
 
+  /** Lines 9-10 of Algorithm 1: the faces whose cached best vertices form
+    * the next batch, in batch order.
+    *
+    * Walks the alive faces `alive(0 until count)` in the order (gain desc,
+    * face id asc) and keeps a face when its best vertex is not taken yet,
+    * so a vertex goes to its max-gain face, until `prefix` faces are kept
+    * or the faces run out. Faces without a best vertex (`bestV == -1`)
+    * are skipped.
+    *
+    * Rather than sorting every alive face, it takes the first K faces of
+    * that order with a bounded heap (K = 2 prefix to start) and walks only
+    * those. The walk over the first K faces of a total order makes the same
+    * decisions as the walk over all of them, so the result is exact when
+    * it keeps `prefix` faces or K covers every alive face; otherwise
+    * conflicts used up the candidates, and K doubles and the selection
+    * runs again.
+    */
+  def selectBatch(alive: Array[Int], count: Int, bestV: Array[Int], bestGain: Array[Double],
+                  prefix: Int): Array[Int] = {
+    // f comes before g: higher gain, then lower face id; Double.compare
+    // gives the order of a sort on (-gain, face)
+    def before(f: Int, g: Int): Boolean = {
+      val c = java.lang.Double.compare(bestGain(f), bestGain(g))
+      c > 0 || (c == 0 && f < g)
+    }
+    // binary heap whose root is the face that comes last
+    def siftDown(heap: Array[Int], size: Int): Unit = {
+      var i = 0
+      var done = false
+      while (!done) {
+        val l = 2 * i + 1
+        if (l >= size) done = true
+        else {
+          val c = if (l + 1 < size && before(heap(l), heap(l + 1))) l + 1 else l
+          if (before(heap(i), heap(c))) {
+            val t = heap(i); heap(i) = heap(c); heap(c) = t
+            i = c
+          } else done = true
+        }
+      }
+    }
+    // the first k faces of the order, in order
+    def firstK(k: Int): Array[Int] = {
+      val heap = new Array[Int](k)
+      var size = 0
+      var j = 0
+      while (j < count) {
+        val f = alive(j)
+        if (size < k) {
+          heap(size) = f
+          var i = size
+          size += 1
+          while (i > 0 && before(heap((i - 1) / 2), heap(i))) {
+            val p = (i - 1) / 2
+            val t = heap(i); heap(i) = heap(p); heap(p) = t
+            i = p
+          }
+        } else if (before(f, heap(0))) {
+          heap(0) = f
+          siftDown(heap, size)
+        }
+        j += 1
+      }
+      val out = new Array[Int](size)
+      while (size > 0) {
+        size -= 1
+        out(size) = heap(0)
+        heap(0) = heap(size)
+        siftDown(heap, size)
+      }
+      out
+    }
+
+    // conflict resolution over the first k faces
+    def picksAmongFirst(k: Int): Array[Int] = {
+      val candidates = firstK(k)
+      val taken = new scala.collection.mutable.BitSet()
+      val picks = new ArrayBuffer[Int](prefix)
+      var i = 0
+      while (i < candidates.length && picks.length < prefix) {
+        val f = candidates(i)
+        val v = bestV(f)
+        if (v >= 0 && taken.add(v)) picks += f
+        i += 1
+      }
+      picks.toArray
+    }
+
+    var k = math.min(count.toLong, 2L * prefix).toInt
+    var picks = picksAmongFirst(k)
+    while (picks.length < prefix && k < count) {
+      k = math.min(count.toLong, 2L * k).toInt
+      picks = picksAmongFirst(k)
+    }
+    picks
+  }
+
   def build(s: SymMatrix, prefix: Int, par: Par): TmfgResult = {
     val n = s.n
     require(n >= 4, s"TMFG needs at least 4 vertices, got $n")
@@ -39,14 +136,12 @@ object Tmfg {
     // --- seed: the four vertices with largest row sums in S ---
     val rowSums = par.parMap(n)(i => s.rowSum(i))
     val seed = (0 until n).sortBy(i => (-rowSums(i), i)).take(4).toArray
-    val inserted = new Array[Boolean](n)
-    seed.foreach(v => inserted(v) = true)
 
     val edges = new ArrayBuffer[(Int, Int)](3 * n)
     for (i <- 0 until 4; j <- i + 1 until 4) edges += ((seed(i), seed(j)))
 
     // remaining vertices with swap-removal
-    val vlist = (0 until n).filterNot(inserted).toArray
+    val vlist = (0 until n).filterNot(seed.contains).toArray
     val vpos  = Array.fill(n)(-1)
     for (i <- vlist.indices) vpos(vlist(i)) = i
     var vcount = vlist.length
@@ -59,13 +154,18 @@ object Tmfg {
       vcount -= 1
     }
 
-    // --- face tables ---
-    val maxFaces = 3 * n // 4 + 3*(n-4) alive at the end, plus killed ones
-    val faceVerts  = new ArrayBuffer[Array[Int]](maxFaces)
-    val faceBubble = new ArrayBuffer[Int](maxFaces)
-    val faceAlive  = new ArrayBuffer[Boolean](maxFaces)
-    val bestV      = new ArrayBuffer[Int](maxFaces)
-    val bestGain   = new ArrayBuffer[Double](maxFaces)
+    // --- face tables: 4 seed faces, then each insertion kills one face
+    // and adds three, so 3n-8 faces are ever made and 2n-4 are alive at
+    // the end ---
+    val maxFaces = 3 * n - 8
+    val faceVerts  = new Array[Int](3 * maxFaces) // face f is faceVerts(3f until 3f+3)
+    val faceBubble = new Array[Int](maxFaces)
+    val faceAlive  = new Array[Boolean](maxFaces)
+    val bestV      = new Array[Int](maxFaces)
+    val bestGain   = new Array[Double](maxFaces)
+    var numFaces   = 0
+    val alive      = new Array[Int](2 * n - 4)
+    var aliveCount = 0
     // reverse index: faces for which v is the cached best vertex (may
     // contain stale entries; validated on use)
     val facesOfBest = Array.fill(n)(new ArrayBuffer[Int](4))
@@ -74,20 +174,20 @@ object Tmfg {
     val b0 = tree.addBubble(seed.clone())
     tree.root = b0
 
-    def addFace(tri: Array[Int], bubble: Int): Int = {
-      val id = faceVerts.length
-      faceVerts += tri
-      faceBubble += bubble
-      faceAlive += true
-      bestV += -1
-      bestGain += Double.NegativeInfinity
+    def addFace(a: Int, b: Int, c: Int, bubble: Int): Int = {
+      val id = numFaces
+      faceVerts(3 * id) = a; faceVerts(3 * id + 1) = b; faceVerts(3 * id + 2) = c
+      faceBubble(id) = bubble
+      faceAlive(id) = true
+      bestV(id) = -1
+      bestGain(id) = Double.NegativeInfinity
+      numFaces += 1
       id
     }
 
     // rescan: recompute the best remaining vertex for face f
     def rescan(f: Int): Unit = {
-      val tri = faceVerts(f)
-      val r0 = tri(0) * n; val r1 = tri(1) * n; val r2 = tri(2) * n
+      val r0 = faceVerts(3 * f) * n; val r1 = faceVerts(3 * f + 1) * n; val r2 = faceVerts(3 * f + 2) * n
       var bv = -1
       var bg = Double.NegativeInfinity
       var i = 0
@@ -101,111 +201,84 @@ object Tmfg {
       bestGain(f) = bg
     }
 
-    val f0 = addFace(Array(seed(0), seed(1), seed(2)), b0)
-    addFace(Array(seed(0), seed(1), seed(3)), b0)
-    addFace(Array(seed(0), seed(2), seed(3)), b0)
-    addFace(Array(seed(1), seed(2), seed(3)), b0)
+    val f0 = addFace(seed(0), seed(1), seed(2), b0)
+    addFace(seed(0), seed(1), seed(3), b0)
+    addFace(seed(0), seed(2), seed(3), b0)
+    addFace(seed(1), seed(2), seed(3), b0)
     var outerFaceId = f0
-
-    val aliveList = ArrayBuffer(0, 1, 2, 3)
-    for (f <- aliveList) { rescan(f); if (bestV(f) >= 0) facesOfBest(bestV(f)) += f }
+    for (f <- 0 until 4) {
+      alive(f) = f
+      rescan(f)
+      if (bestV(f) >= 0) facesOfBest(bestV(f)) += f
+    }
+    aliveCount = 4
 
     val insertionOrder = new ArrayBuffer[Int](n)
     insertionOrder ++= seed
+
+    // faces to rescan after a round: new ones + faces whose cached best
+    // was inserted; all distinct and alive, so at most 2n-4 of them
+    val dirty = new Array[Int](2 * n - 4)
 
     var rounds = 0
     while (vcount > 0) {
       rounds += 1
 
       // --- Lines 9-10: pick up to `prefix` vertex-face pairs ---
-      val selected: IndexedSeq[Int] = // face ids, one per chosen vertex
-        if (prefix == 1) {
-          // single parallel maximum over the GAINS table (coarse grain:
-          // each element is O(1) work)
-          val best = par.parReduce(aliveList.length, (-1, Double.NegativeInfinity), grain = 2048) { i =>
-            val f = aliveList(i)
-            (f, bestGain(f))
-          } { (a, b) =>
-            if (b._2 > a._2 || (b._2 == a._2 && b._1 != -1 && (a._1 == -1 || b._1 < a._1))) b else a
-          }
-          IndexedSeq(best._1)
-        } else {
-          val fs = aliveList.toArray
-          val sorted = fs.sortBy(f => (-bestGain(f), f))
-          // conflict resolution: a vertex keeps only its max-gain face
-          val chosenFaceOf = new java.util.HashMap[Int, Int]()
-          val picks = new ArrayBuffer[Int](prefix)
-          var i = 0
-          while (i < sorted.length && picks.length < prefix) {
-            val f = sorted(i)
-            val v = bestV(f)
-            if (v >= 0 && !chosenFaceOf.containsKey(v)) {
-              chosenFaceOf.put(v, f)
-              picks += f
-            }
-            i += 1
-          }
-          picks.toIndexedSeq
-        }
+      val selected = selectBatch(alive, aliveCount, bestV, bestGain, prefix)
 
       // --- Lines 11-17: insert the batch ---
-      val newFaces = new ArrayBuffer[Int](3 * selected.length)
-      val insertedNow = new ArrayBuffer[Int](selected.length)
-      for (f <- selected; if f >= 0 && faceAlive(f)) {
+      var numDirty = 0
+      for (f <- selected) {
         val v = bestV(f)
-        if (v >= 0 && vpos(v) >= 0) {
-          val tri = faceVerts(f)
-          removeVertex(v)
-          inserted(v) = true
-          insertedNow += v
-          insertionOrder += v
-          edges += ((v, tri(0))); edges += ((v, tri(1))); edges += ((v, tri(2)))
+        val t0 = faceVerts(3 * f); val t1 = faceVerts(3 * f + 1); val t2 = faceVerts(3 * f + 2)
+        removeVertex(v)
+        insertionOrder += v
+        edges += ((v, t0)); edges += ((v, t1)); edges += ((v, t2))
 
-          // bubble tree update (Algorithm 2)
-          val bStar = tree.addBubble(Array(tri(0), tri(1), tri(2), v))
-          val b = faceBubble(f)
-          val wasOuter = f == outerFaceId
-          if (wasOuter) {
-            tree.link(bStar, tree.root, tri.clone())
-            tree.root = bStar
-          } else {
-            tree.link(b, bStar, tri.clone())
-          }
-
-          // replace face f with the three new faces of bStar
-          faceAlive(f) = false
-          val nf1 = addFace(Array(v, tri(0), tri(1)), bStar)
-          val nf2 = addFace(Array(v, tri(1), tri(2)), bStar)
-          val nf3 = addFace(Array(v, tri(0), tri(2)), bStar)
-          if (wasOuter) outerFaceId = nf1
-          newFaces += nf1; newFaces += nf2; newFaces += nf3
+        // bubble tree update (Algorithm 2)
+        val bStar = tree.addBubble(Array(t0, t1, t2, v))
+        val wasOuter = f == outerFaceId
+        if (wasOuter) {
+          tree.link(bStar, tree.root, Array(t0, t1, t2))
+          tree.root = bStar
+        } else {
+          tree.link(faceBubble(f), bStar, Array(t0, t1, t2))
         }
+
+        // replace face f with the three new faces of bStar
+        faceAlive(f) = false
+        val nf1 = addFace(v, t0, t1, bStar)
+        val nf2 = addFace(v, t1, t2, bStar)
+        val nf3 = addFace(v, t0, t2, bStar)
+        if (wasOuter) outerFaceId = nf1
+        dirty(numDirty) = nf1; dirty(numDirty + 1) = nf2; dirty(numDirty + 2) = nf3
+        numDirty += 3
       }
 
-      // update the alive-face list: drop killed faces, append new ones
+      // update the alive-face list: drop killed faces, append the new ones
+      // (so far the only entries of `dirty`)
       var w = 0
       var i = 0
-      while (i < aliveList.length) {
-        val f = aliveList(i)
-        if (faceAlive(f)) { aliveList(w) = f; w += 1 }
+      while (i < aliveCount) {
+        val f = alive(i)
+        if (faceAlive(f)) { alive(w) = f; w += 1 }
         i += 1
       }
-      aliveList.dropRightInPlace(aliveList.length - w)
-      aliveList ++= newFaces
+      System.arraycopy(dirty, 0, alive, w, numDirty)
+      aliveCount = w + numDirty
 
-      // --- dirty faces: new ones + faces whose cached best was inserted ---
-      val dirty = new ArrayBuffer[Int](newFaces.length + 8)
-      dirty ++= newFaces
-      for (v <- insertedNow) {
-        for (f <- facesOfBest(v)) if (faceAlive(f) && bestV(f) == v) dirty += f
+      for (f <- selected) {
+        val v = bestV(f)
+        for (g <- facesOfBest(v)) if (faceAlive(g) && bestV(g) == v) { dirty(numDirty) = g; numDirty += 1 }
         facesOfBest(v).clear()
       }
       if (vcount > 0) {
         // a rescan costs O(vcount); only fan out when the batch carries
         // enough total work to amortize task submission
         val grain = math.max(1, 20000 / math.max(1, vcount))
-        par.parFor(dirty.length, grain)(i => rescan(dirty(i)))
-        for (f <- dirty; if bestV(f) >= 0) facesOfBest(bestV(f)) += f
+        par.parFor(numDirty, grain)(i => rescan(dirty(i)))
+        for (i <- 0 until numDirty; f = dirty(i); if bestV(f) >= 0) facesOfBest(bestV(f)) += f
       }
     }
 

@@ -107,7 +107,4 @@ object Methods {
     }
     (labels, t)
   }
-
-  /** Build a TMFG only (for edge-weight and quality sweeps). */
-  def tmfgOnly(s: SymMatrix, prefix: Int, par: Par): TmfgResult = Tmfg.build(s, prefix, par)
 }

@@ -1,7 +1,7 @@
 package repro.spark
 
 import org.apache.spark.sql.SparkSession
-import repro.core.{BubbleTree, SymMatrix, TmfgResult, WGraph}
+import repro.core.{BubbleTree, SymMatrix, Tmfg, TmfgResult, WGraph}
 import scala.collection.mutable.ArrayBuffer
 
 /** Distributed batched TMFG construction (paper Algorithm 1 as a
@@ -11,8 +11,9 @@ import scala.collection.mutable.ArrayBuffer
   * work — fans out over an RDD of the current faces with the similarity
   * matrix shipped once as a broadcast; the driver holds the O(n) graph /
   * face / bubble-tree state, selects the top-PREFIX conflict-free
-  * vertex-face pairs, and applies the insertions (exactly the role the
-  * shared O(n) state plays in the paper's shared-memory algorithm).
+  * vertex-face pairs with the kernel's `Tmfg.selectBatch`, and applies
+  * the insertions (exactly the role the shared O(n) state plays in the
+  * paper's shared-memory algorithm).
   *
   * Produces bit-identical output to `repro.core.Tmfg.build`: a face's
   * cached best vertex in the incremental kernel is always the argmax over
@@ -85,17 +86,13 @@ object SparkTmfg {
         bRem.destroy()
 
         // select top-PREFIX pairs, conflict-free on vertices
-        val sorted = gains.sortBy { case (f, _, g) => (-g, f) }
-        val chosenV = collection.mutable.HashSet[Int]()
-        val picks = new ArrayBuffer[(Int, Int)](prefix) // (faceId, vertex)
-        var i = 0
-        while (i < sorted.length && picks.length < prefix) {
-          val (f, v, _) = sorted(i)
-          if (v >= 0 && !chosenV.contains(v)) { chosenV += v; picks += ((f, v)) }
-          i += 1
-        }
+        val bestV    = new Array[Int](faceVerts.length)
+        val bestGain = new Array[Double](faceVerts.length)
+        for ((f, v, g) <- gains) { bestV(f) = v; bestGain(f) = g }
+        val picks = Tmfg.selectBatch(alive, alive.length, bestV, bestGain, prefix)
 
-        for ((f, v) <- picks) {
+        for (f <- picks) {
+          val v = bestV(f)
           val tri = faceVerts(f)
           remaining -= v
           insertionOrder += v

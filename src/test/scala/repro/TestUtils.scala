@@ -72,6 +72,52 @@ object TestUtils {
     (WGraph.fromEdges(n, edges), order.toArray)
   }
 
+  /** Brute-force batched TMFG (Algorithm 1 without the GAINS table): each
+    * round recomputes every alive face's best remaining vertex from
+    * scratch (ties to the lower vertex), sorts all alive faces by (gain
+    * desc, face id asc) and inserts the first `prefix` of them whose best
+    * vertices are distinct. Faces are numbered as in `Tmfg.build`: a
+    * killed face keeps its id and the three faces replacing it take the
+    * next ids, in batch order. Returns graph, insertion order and rounds.
+    */
+  def bruteBatchedTmfg(s: SymMatrix, prefix: Int): (WGraph, Array[Int], Int) = {
+    val n = s.n
+    val rowSums = (0 until n).map(i => s.rowSum(i))
+    val seed = (0 until n).sortBy(i => (-rowSums(i), i)).take(4).toArray
+    val remaining = collection.mutable.TreeSet.from((0 until n).filterNot(seed.contains))
+    val edges = new ArrayBuffer[(Int, Int)]()
+    for (i <- 0 until 4; j <- i + 1 until 4) edges += ((seed(i), seed(j)))
+    val faces = ArrayBuffer(Array(seed(0), seed(1), seed(2)), Array(seed(0), seed(1), seed(3)),
+                            Array(seed(0), seed(2), seed(3)), Array(seed(1), seed(2), seed(3)))
+    val alive = ArrayBuffer(true, true, true, true)
+    val order = ArrayBuffer.from(seed)
+    var rounds = 0
+    while (remaining.nonEmpty) {
+      rounds += 1
+      val best = for (f <- faces.indices if alive(f)) yield {
+        val t = faces(f)
+        var bestV = -1
+        var bestGain = Double.NegativeInfinity
+        for (v <- remaining) { // ascending, so ties keep the lower vertex
+          val g = s(t(0), v) + s(t(1), v) + s(t(2), v)
+          if (g > bestGain) { bestGain = g; bestV = v }
+        }
+        (f, bestV, bestGain)
+      }
+      val batch = best.sortBy { case (f, _, g) => (-g, f) }.distinctBy(_._2).take(prefix)
+      for ((f, v, _) <- batch) {
+        val t = faces(f)
+        remaining -= v
+        order += v
+        edges += ((v, t(0))); edges += ((v, t(1))); edges += ((v, t(2)))
+        alive(f) = false
+        faces += Array(v, t(0), t(1)); faces += Array(v, t(1), t(2)); faces += Array(v, t(0), t(2))
+        alive += true; alive += true; alive += true
+      }
+    }
+    (WGraph.fromEdges(n, edges), order.toArray, rounds)
+  }
+
   /** Floyd–Warshall APSP over a graph with matrix edge weights. */
   def floydWarshall(g: WGraph, d: SymMatrix): Array[Array[Double]] = {
     val n = g.n

@@ -34,6 +34,16 @@ class SymMatrixSpec extends AnyFunSuite {
     intercept[IllegalArgumentException](SymMatrix.wrap(3, new Array[Double](8)))
   }
 
+  test("an n whose n*n entries overflow one array is rejected before allocating") {
+    for (n <- Seq(SymMatrix.MaxN + 1, 46341, 65536, Int.MaxValue, -1)) {
+      val e = intercept[IllegalArgumentException](SymMatrix.zeros(n))
+      assert(e.getMessage.contains(s"n = $n"))
+      intercept[IllegalArgumentException](SymMatrix.wrap(n, new Array[Double](0)))
+    }
+    SymMatrix.checkSize(SymMatrix.MaxN) // the largest n that fits passes
+    intercept[IllegalArgumentException](SymMatrix.checkSize(SymMatrix.MaxN + 1))
+  }
+
   test("copy is independent of the original") {
     val m = TestUtils.randomSim(5, 1)
     val c = m.copy()

@@ -56,6 +56,64 @@ class TmfgSpec extends AnyFunSuite {
     }
   }
 
+  test("prefix > 1 equals the brute-force batched TMFG on 1 and 4 threads") {
+    for (seed <- 1L to 3L; prefix <- Seq(2, 5, 16)) {
+      val s = TestUtils.randomSim(40, seed)
+      val (bg, border, brounds) = TestUtils.bruteBatchedTmfg(s, prefix)
+      for (threads <- Seq(1, 4)) {
+        val res = Par.withThreads(threads)(par => Tmfg.build(s, prefix, par))
+        val what = s"seed=$seed prefix=$prefix threads=$threads"
+        assert(res.graph.edges == bg.edges, what)
+        assert(res.insertionOrder.toSeq == border.toSeq, what)
+        assert(res.rounds == brounds, what)
+      }
+    }
+  }
+
+  test("batches shrunk by conflicts equal the brute-force batched TMFG") {
+    // 24 graded hubs: s(i, j) = u_i u_j + 0.001 r_ij, u falling from 1.0
+    // by 0.02 per hub and 0 for the other vertices. The four strongest
+    // hubs are the seed, so every face contains a hub until the hubs run
+    // out, and every face's best vertex is the strongest remaining hub.
+    // Each such round inserts one vertex; once more than 2 * prefix faces
+    // are alive, conflicts exhaust the first 2 * prefix candidates and the
+    // selection has to widen.
+    val (n, hubs, prefix) = (200, 24, 8)
+    val r = TestUtils.randomSim(n, 3)
+    val u = Array.tabulate(n)(i => if (i < hubs) 1.0 - 0.02 * i else 0.0)
+    val s = SymMatrix.zeros(n)
+    for (i <- 0 until n) {
+      s.update(i, i, 1.0)
+      for (j <- i + 1 until n) s.update(i, j, u(i) * u(j) + 0.001 * r(i, j))
+    }
+    val (bg, border, brounds) = TestUtils.bruteBatchedTmfg(s, prefix)
+    for (threads <- Seq(1, 4)) {
+      val res = Par.withThreads(threads)(par => Tmfg.build(s, prefix, par))
+      assert(res.graph.edges == bg.edges, s"threads=$threads")
+      assert(res.insertionOrder.toSeq == border.toSeq, s"threads=$threads")
+      assert(res.rounds == brounds, s"threads=$threads")
+      assert(res.rounds > math.ceil((n - 4).toDouble / prefix).toInt)
+    }
+  }
+
+  test("selectBatch equals conflict resolution over a full sort, with ties") {
+    val rng = new scala.util.Random(5)
+    for (_ <- 0 until 500) {
+      val faces = 1 + rng.nextInt(60)
+      // few vertices and quantised gains: many conflicts and exact ties;
+      // -1 is a face without a best vertex
+      val bestV = Array.fill(faces)(rng.nextInt(7) - 1)
+      val bestGain = Array.fill(faces)(rng.nextInt(4).toDouble)
+      val alive = rng.shuffle((0 until faces).toVector).take(1 + rng.nextInt(faces)).toArray
+      val prefix = 1 + rng.nextInt(8)
+      val expected = alive.sortBy(f => (-bestGain(f), f)).filter(bestV(_) >= 0).distinctBy(bestV(_)).take(prefix)
+      // entries past `count` are not alive faces and must be ignored
+      val padded = alive ++ Array.fill(3)(rng.nextInt(faces))
+      val got = Tmfg.selectBatch(padded, alive.length, bestV, bestGain, prefix)
+      assert(got.toSeq == expected.toSeq, s"alive=${alive.toSeq} prefix=$prefix")
+    }
+  }
+
   test("result is independent of thread count") {
     val s = TestUtils.randomSim(60, 9)
     for (prefix <- Seq(1, 4, 16)) {
