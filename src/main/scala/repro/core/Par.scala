@@ -2,7 +2,6 @@ package repro.core
 
 import java.util.concurrent.{Callable, ExecutorService, Executors, TimeUnit}
 import java.util.concurrent.atomic.AtomicInteger
-import scala.collection.mutable.ArrayBuffer
 
 /** Thread-pool parallel-for substrate.
   *
@@ -58,45 +57,6 @@ final class Par(val threads: Int) extends AutoCloseable {
     val out = new Array[A](n)
     parFor(n, grain)(i => out(i) = f(i))
     out
-  }
-
-  /** Parallel reduction of f(0) op f(1) op ... op f(n-1); op must be
-    * associative and commutative. Returns `zero` for n == 0.
-    */
-  def parReduce[A](n: Int, zero: A, grain: Int = 1)(f: Int => A)(op: (A, A) => A): A = {
-    if (n <= 0) return zero
-    if (threads == 1 || n <= grain) {
-      var acc = zero; var i = 0
-      while (i < n) { acc = op(acc, f(i)); i += 1 }
-      return acc
-    }
-    val partials = new ArrayBuffer[A]()
-    val lock     = new Object
-    val chunk    = math.max(grain, n / (threads * 8) + 1)
-    val nChunks  = (n + chunk - 1) / chunk
-    val next     = new AtomicInteger(0)
-    val tasks    = new java.util.ArrayList[Callable[Unit]](threads)
-    var t = 0
-    while (t < threads) {
-      tasks.add { () =>
-        var acc   = zero
-        var wrote = false
-        var c = next.getAndIncrement()
-        while (c < nChunks) {
-          val lo = c * chunk
-          val hi = math.min(n, lo + chunk)
-          var i = lo; while (i < hi) { acc = op(acc, f(i)); i += 1 }
-          wrote = true
-          c = next.getAndIncrement()
-        }
-        if (wrote) lock.synchronized { partials += acc }
-      }
-      t += 1
-    }
-    val futures = pool.invokeAll(tasks)
-    val it = futures.iterator()
-    while (it.hasNext) it.next().get()
-    partials.foldLeft(zero)(op)
   }
 
   override def close(): Unit =

@@ -26,8 +26,13 @@ final case class TmfgResult(graph: WGraph, tree: BubbleTree, rounds: Int,
   * remaining vertex, and each vertex keeps a reverse index of the faces
   * it is currently best for (the paper's optimization over rescanning all
   * faces). After a round, only the three new faces per insertion and the
-  * faces whose cached best vertex was just inserted are rescanned; the
-  * rescans are the dominant work and run in parallel over faces.
+  * faces whose cached best vertex was just inserted are rescanned.
+  *
+  * One round engine, `grow`, owns all of this state. The rescans are the
+  * dominant work and the only pluggable part: `grow` hands the stale
+  * faces to a gain scan that evaluates `bestVertex` for each of them.
+  * `build` scans in parallel over faces on a `Par`;
+  * `repro.spark.SparkTmfg` scans with an RDD job.
   */
 object Tmfg {
 
@@ -128,7 +133,46 @@ object Tmfg {
     picks
   }
 
-  def build(s: SymMatrix, prefix: Int, par: Par): TmfgResult = {
+  /** One GAINS entry of Algorithm 1: the remaining vertex of
+    * `rem(0 until remCount)` with the largest gain to the face (a, b, c),
+    * ties to the smaller vertex, and that gain; (-1, -inf) when no vertex
+    * remains. `sd` is the row-major n x n similarity matrix. The result
+    * does not depend on the order of `rem`.
+    */
+  def bestVertex(sd: Array[Double], n: Int, a: Int, b: Int, c: Int,
+                 rem: Array[Int], remCount: Int): (Int, Double) = {
+    val r0 = a * n; val r1 = b * n; val r2 = c * n
+    var bv = -1
+    var bg = Double.NegativeInfinity
+    var i = 0
+    while (i < remCount) {
+      val v = rem(i)
+      val g = sd(r0 + v) + sd(r1 + v) + sd(r2 + v)
+      if (g > bg || (g == bg && v < bv)) { bg = g; bv = v }
+      i += 1
+    }
+    (bv, bg)
+  }
+
+  def build(s: SymMatrix, prefix: Int, par: Par): TmfgResult =
+    grow(s, prefix, par) { (tris, rem, remCount) =>
+      // a rescan costs O(remCount); only fan out when the batch carries
+      // enough total work to amortize task submission
+      val grain = math.max(1, 20000 / math.max(1, remCount))
+      par.parMap(tris.length / 3, grain) { i =>
+        bestVertex(s.data, s.n, tris(3 * i), tris(3 * i + 1), tris(3 * i + 2), rem, remCount)
+      }
+    }
+
+  /** The round engine of Algorithm 1: seed clique, face tables, batch
+    * selection, insertion and the bubble tree (Algorithm 2). The GAINS
+    * rescans are left to `scan`: given the stale faces'
+    * triangles packed three ints each, and the remaining vertices
+    * `rem(0 until remCount)`, it returns `bestVertex` of every triangle,
+    * in order. `par` only computes the row sums for the seed.
+    */
+  def grow(s: SymMatrix, prefix: Int, par: Par)
+          (scan: (Array[Int], Array[Int], Int) => Array[(Int, Double)]): TmfgResult = {
     val n = s.n
     require(n >= 4, s"TMFG needs at least 4 vertices, got $n")
     require(prefix >= 1, s"prefix must be >= 1, got $prefix")
@@ -185,50 +229,43 @@ object Tmfg {
       id
     }
 
-    // rescan: recompute the best remaining vertex for face f
-    def rescan(f: Int): Unit = {
-      val r0 = faceVerts(3 * f) * n; val r1 = faceVerts(3 * f + 1) * n; val r2 = faceVerts(3 * f + 2) * n
-      var bv = -1
-      var bg = Double.NegativeInfinity
-      var i = 0
-      while (i < vcount) {
-        val v = vlist(i)
-        val g = s.data(r0 + v) + s.data(r1 + v) + s.data(r2 + v)
-        if (g > bg || (g == bg && v < bv)) { bg = g; bv = v }
-        i += 1
-      }
-      bestV(f) = bv
-      bestGain(f) = bg
-    }
-
     val f0 = addFace(seed(0), seed(1), seed(2), b0)
     addFace(seed(0), seed(1), seed(3), b0)
     addFace(seed(0), seed(2), seed(3), b0)
     addFace(seed(1), seed(2), seed(3), b0)
     var outerFaceId = f0
-    for (f <- 0 until 4) {
-      alive(f) = f
-      rescan(f)
-      if (bestV(f) >= 0) facesOfBest(bestV(f)) += f
-    }
+
+    // faces to rescan: the seed faces, then after each round the new ones
+    // and the faces whose cached best was inserted; all distinct and
+    // alive, so at most 2n-4 of them
+    val dirty = new Array[Int](2 * n - 4)
+    var numDirty = 4
+    for (f <- 0 until 4) { alive(f) = f; dirty(f) = f }
     aliveCount = 4
 
     val insertionOrder = new ArrayBuffer[Int](n)
     insertionOrder ++= seed
 
-    // faces to rescan after a round: new ones + faces whose cached best
-    // was inserted; all distinct and alive, so at most 2n-4 of them
-    val dirty = new Array[Int](2 * n - 4)
-
     var rounds = 0
     while (vcount > 0) {
       rounds += 1
+
+      // --- GAINS update: rescan the stale faces ---
+      val tris = new Array[Int](3 * numDirty)
+      for (i <- 0 until numDirty) System.arraycopy(faceVerts, 3 * dirty(i), tris, 3 * i, 3)
+      val best = scan(tris, vlist, vcount)
+      for (i <- 0 until numDirty) {
+        val f = dirty(i)
+        val (v, g) = best(i)
+        bestV(f) = v; bestGain(f) = g
+        if (v >= 0) facesOfBest(v) += f
+      }
 
       // --- Lines 9-10: pick up to `prefix` vertex-face pairs ---
       val selected = selectBatch(alive, aliveCount, bestV, bestGain, prefix)
 
       // --- Lines 11-17: insert the batch ---
-      var numDirty = 0
+      numDirty = 0
       for (f <- selected) {
         val v = bestV(f)
         val t0 = faceVerts(3 * f); val t1 = faceVerts(3 * f + 1); val t2 = faceVerts(3 * f + 2)
@@ -272,13 +309,6 @@ object Tmfg {
         val v = bestV(f)
         for (g <- facesOfBest(v)) if (faceAlive(g) && bestV(g) == v) { dirty(numDirty) = g; numDirty += 1 }
         facesOfBest(v).clear()
-      }
-      if (vcount > 0) {
-        // a rescan costs O(vcount); only fan out when the batch carries
-        // enough total work to amortize task submission
-        val grain = math.max(1, 20000 / math.max(1, vcount))
-        par.parFor(numDirty, grain)(i => rescan(dirty(i)))
-        for (i <- 0 until numDirty; f = dirty(i); if bestV(f) >= 0) facesOfBest(bestV(f)) += f
       }
     }
 

@@ -52,12 +52,10 @@ object SparkPipeline {
     val apsp = SparkApsp.allPairs(spark, res.graph, d)
     // O(n) assignment state stays on the driver, like the shared-memory
     // algorithm's shared arrays; a Par over local cores drives it
-    val (asg, dendro) = Par.default { par =>
+    val dendro = Par.default { par =>
       val bub = Dbht.bubblesFromTmfg(res, s, par)
-      val a = Dbht.assign(bub, res.graph, s, apsp, par)
-      (a, dendrogram(spark, s.n, a, apsp))
+      dendrogram(spark, s.n, Dbht.assign(bub, res.graph, s, apsp, par), apsp)
     }
-    val _ = asg
     PipelineResult(dendro.cut(k), dendro, res.graph, res.rounds)
   }
 }

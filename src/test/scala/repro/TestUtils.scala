@@ -24,6 +24,38 @@ object TestUtils {
     m
   }
 
+  /** Graded hubs: s(i, j) = u_i u_j + 0.001 r_ij with r =
+    * `randomSim(n, seed)`, u falling from 1.0 by 0.02 per hub and 0 for
+    * the other vertices. The four strongest hubs are the seed, so every
+    * face contains a hub until the hubs run out, and every face's best
+    * vertex is the strongest remaining hub: batches shrink to one vertex
+    * and batch selection has to widen past its first candidates.
+    */
+  def hubSim(n: Int, hubs: Int, seed: Long): SymMatrix = {
+    val r = randomSim(n, seed)
+    val u = Array.tabulate(n)(i => if (i < hubs) 1.0 - 0.02 * i else 0.0)
+    val s = SymMatrix.zeros(n)
+    for (i <- 0 until n) {
+      s.update(i, i, 1.0)
+      for (j <- i + 1 until n) s.update(i, j, u(i) * u(j) + 0.001 * r(i, j))
+    }
+    s
+  }
+
+  /** Random similarity matrix whose entries are multiples of 1/4 in
+    * [-1, 1], unit diagonal. Sums of such values are exact, so many
+    * faces have exact gain ties between several vertices.
+    */
+  def quantisedSim(n: Int, seed: Long): SymMatrix = {
+    val rng = new Random(seed)
+    val m = SymMatrix.zeros(n)
+    for (i <- 0 until n) {
+      m.update(i, i, 1.0)
+      for (j <- i + 1 until n) m.update(i, j, (rng.nextInt(9) - 4) / 4.0)
+    }
+    m
+  }
+
   /** Random positive distance-like symmetric matrix, zero diagonal. */
   def randomDist(n: Int, seed: Long): SymMatrix = {
     val rng = new Random(seed)

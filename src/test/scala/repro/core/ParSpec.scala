@@ -55,25 +55,6 @@ class ParSpec extends AnyFunSuite {
     }
   }
 
-  test("parReduce sums correctly across thread counts") {
-    for (threads <- Seq(1, 3, 8); n <- Seq(0, 1, 7, 1000, 12345)) {
-      Par.withThreads(threads) { par =>
-        val s = par.parReduce(n, 0L)(i => i.toLong)(_ + _)
-        assert(s == n.toLong * (n - 1) / 2, s"threads=$threads n=$n")
-      }
-    }
-  }
-
-  test("parReduce max matches sequential max") {
-    val xs = Array.tabulate(5000)(i => ((i * 2654435761L) % 100003).toInt)
-    for (threads <- Seq(1, 8)) {
-      Par.withThreads(threads) { par =>
-        val m = par.parReduce(xs.length, Int.MinValue)(xs(_))(math.max)
-        assert(m == xs.max)
-      }
-    }
-  }
-
   test("worker exceptions propagate to the caller") {
     Par.withThreads(4) { par =>
       val ex = intercept[Exception] {

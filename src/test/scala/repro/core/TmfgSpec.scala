@@ -79,13 +79,7 @@ class TmfgSpec extends AnyFunSuite {
     // are alive, conflicts exhaust the first 2 * prefix candidates and the
     // selection has to widen.
     val (n, hubs, prefix) = (200, 24, 8)
-    val r = TestUtils.randomSim(n, 3)
-    val u = Array.tabulate(n)(i => if (i < hubs) 1.0 - 0.02 * i else 0.0)
-    val s = SymMatrix.zeros(n)
-    for (i <- 0 until n) {
-      s.update(i, i, 1.0)
-      for (j <- i + 1 until n) s.update(i, j, u(i) * u(j) + 0.001 * r(i, j))
-    }
+    val s = TestUtils.hubSim(n, hubs, 3)
     val (bg, border, brounds) = TestUtils.bruteBatchedTmfg(s, prefix)
     for (threads <- Seq(1, 4)) {
       val res = Par.withThreads(threads)(par => Tmfg.build(s, prefix, par))
@@ -112,6 +106,46 @@ class TmfgSpec extends AnyFunSuite {
       val got = Tmfg.selectBatch(padded, alive.length, bestV, bestGain, prefix)
       assert(got.toSeq == expected.toSeq, s"alive=${alive.toSeq} prefix=$prefix")
     }
+  }
+
+  test("bestVertex does not depend on the order of the remaining vertices") {
+    val n = 30
+    val s = TestUtils.quantisedSim(n, 8)
+    val rng = new scala.util.Random(8)
+    for (_ <- 0 until 200) {
+      val tri = rng.shuffle((0 until n).toVector)
+      val (a, b, c) = (tri(0), tri(1), tri(2))
+      val rem = rng.shuffle((0 until n).filter(v => v != a && v != b && v != c).toVector)
+                   .take(1 + rng.nextInt(n - 3)).toArray
+      def gain(v: Int) = s(a, v) + s(b, v) + s(c, v)
+      val top = rem.map(gain).max
+      val expected = (rem.filter(gain(_) == top).min, top)
+      for (_ <- 0 until 5) {
+        val shuffled = rng.shuffle(rem.toVector).toArray
+        assert(Tmfg.bestVertex(s.data, n, a, b, c, shuffled, shuffled.length) == expected)
+      }
+    }
+  }
+
+  test("bestVertex breaks exact gain ties to the smaller vertex") {
+    val s = SymMatrix.zeros(8)
+    s.update(0, 3, 0.5); s.update(1, 5, 0.5); s.update(2, 7, 0.25)
+    for (rem <- Seq(Array(5, 3, 7, 6), Array(6, 7, 3, 5), Array(3, 5)))
+      assert(Tmfg.bestVertex(s.data, 8, 0, 1, 2, rem, rem.length) == ((3, 0.5)), rem.toSeq)
+  }
+
+  test("bestVertex ignores entries at or past remCount") {
+    val s = SymMatrix.zeros(8)
+    s.update(0, 4, 0.1); s.update(0, 5, 0.2); s.update(0, 6, 0.9); s.update(0, 7, 0.8)
+    assert(Tmfg.bestVertex(s.data, 8, 0, 1, 2, Array(4, 5, 6, 7), 2) == ((5, 0.2)))
+    assert(Tmfg.bestVertex(s.data, 8, 0, 1, 2, Array(4, 5, 6, 7), 3) == ((6, 0.9)))
+  }
+
+  test("bestVertex over no remaining vertex is (-1, -inf)") {
+    val s = TestUtils.randomSim(6, 1)
+    val none = (-1, Double.NegativeInfinity)
+    assert(Tmfg.bestVertex(s.data, 6, 0, 1, 2, Array.empty[Int], 0) == none)
+    assert(Tmfg.bestVertex(s.data, 6, 0, 1, 2, Array(3, 4, 5), 0) == none)
   }
 
   test("result is independent of thread count") {

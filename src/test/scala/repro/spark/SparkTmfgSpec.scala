@@ -1,7 +1,7 @@
 package repro.spark
 
 import repro.{SparkSpec, TestUtils}
-import repro.core.{Par, Tmfg}
+import repro.core.{Par, SymMatrix, Tmfg}
 
 class SparkTmfgSpec extends SparkSpec {
 
@@ -40,5 +40,35 @@ class SparkTmfgSpec extends SparkSpec {
     val dist = SparkTmfg.build(spark, s, 2)
     assert(dist.graph.numEdges == 3 * 25 - 6)
     assert(repro.pmfg.Planarity.isPlanar(25, dist.graph.edges))
+  }
+
+  /** Spark output equals `Tmfg.build` on 1 and 4 threads: edges,
+    * insertion order, rounds and bubble parents. */
+  private def assertEqualsKernel(s: SymMatrix, prefix: Int): Unit = {
+    val dist = SparkTmfg.build(spark, s, prefix)
+    for (threads <- Seq(1, 4)) {
+      val kernel = Par.withThreads(threads)(par => Tmfg.build(s, prefix, par))
+      val what = s"prefix=$prefix threads=$threads"
+      assert(dist.graph.edges == kernel.graph.edges, what)
+      assert(dist.insertionOrder.sameElements(kernel.insertionOrder), what)
+      assert(dist.rounds == kernel.rounds, what)
+      assert(dist.tree.numBubbles == kernel.tree.numBubbles, what)
+      assert(dist.tree.root == kernel.tree.root, what)
+      for (b <- 0 until dist.tree.numBubbles) assert(dist.tree.parent(b) == kernel.tree.parent(b), what)
+    }
+  }
+
+  test("distributed TMFG equals the kernel TMFG when conflicts widen the batch selection") {
+    // TmfgSpec shows that this matrix makes selectBatch widen at prefix 8
+    assertEqualsKernel(TestUtils.hubSim(200, 24, 3), 8)
+  }
+
+  test("distributed TMFG equals the kernel TMFG with exact gain ties (prefix 1 and 4)") {
+    val n = 40
+    val s = TestUtils.quantisedSim(n, 6)
+    // the matrix really has ties: some remaining vertices share a gain
+    val gains = (3 until n).map(v => s(0, v) + s(1, v) + s(2, v))
+    assert(gains.distinct.size < gains.size)
+    for (prefix <- Seq(1, 4)) assertEqualsKernel(s, prefix)
   }
 }
