@@ -77,34 +77,9 @@ final class BubbleTree(val n: Int) {
   * For every non-root bubble b, `towardChild(b)` is true iff the tree
   * edge between parent(b) and b is directed parent -> b, which happens
   * when the separating triangle's connection to its interior (INVAL)
-  * exceeds its connection to its exterior (OUTVAL).
+  * exceeds its connection to its exterior (OUTVAL). `Dbht.bubblesFromTmfg`
+  * turns these flags into the directed `Bubbles` that DBHT consumes.
   */
-final class BubbleDirections(val tree: BubbleTree, val towardChild: Array[Boolean]) {
-
-  /** Out-degree of bubble b in the directed bubble tree. */
-  def outDegree(b: Int): Int = {
-    var d = 0
-    val cs = tree.children(b)
-    var i = 0
-    while (i < cs.length) { if (towardChild(cs(i))) d += 1; i += 1 }
-    if (b != tree.root && !towardChild(b)) d += 1
-    d
-  }
-
-  /** Directed out-neighbors of bubble b. */
-  def outNeighbors(b: Int): IndexedSeq[Int] = {
-    val out = new ArrayBuffer[Int](4)
-    val cs = tree.children(b)
-    var i = 0
-    while (i < cs.length) { if (towardChild(cs(i))) out += cs(i); i += 1 }
-    if (b != tree.root && !towardChild(b)) out += tree.parent(b)
-    out.toIndexedSeq
-  }
-
-  def convergingBubbles: Array[Int] =
-    (0 until tree.numBubbles).filter(outDegree(_) == 0).toArray
-}
-
 object BubbleDirections {
 
   /** Compute all edge directions in O(n) work (Algorithm 3), implemented
@@ -112,11 +87,12 @@ object BubbleDirections {
     * the paper), parallel within each level.
     *
     * `wdeg` must be the weighted degrees of the TMFG vertices under S.
+    * Returns `towardChild` per bubble id (false for the root).
     */
-  def compute(tree: BubbleTree, g: WGraph, s: SymMatrix, wdeg: Array[Double], par: Par): BubbleDirections = {
+  def compute(tree: BubbleTree, g: WGraph, s: SymMatrix, wdeg: Array[Double], par: Par): Array[Boolean] = {
     val nb = tree.numBubbles
     val towardChild = new Array[Boolean](nb)
-    if (nb <= 1) return new BubbleDirections(tree, towardChild)
+    if (nb <= 1) return towardChild
 
     // r(b)(k) = sum of TMFG edge weights from sepTri(b)(k) into the
     // interior of b's separating triangle.
@@ -157,6 +133,6 @@ object BubbleDirections {
       }
       level -= 1
     }
-    new BubbleDirections(tree, towardChild)
+    towardChild
   }
 }

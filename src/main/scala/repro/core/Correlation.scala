@@ -12,8 +12,21 @@ object Correlation {
   /** Z-score each row to zero mean / unit L2 norm (of deviations).
     * A constant row z-scores to the zero vector (correlation 0 with
     * everything, matching the convention of treating it as noise).
+    *
+    * Every correlation and k-means path starts here, so this is where the
+    * input contract is checked: all rows have the same length, at least
+    * 2, and every value is finite. A violation throws an
+    * IllegalArgumentException naming the first offending row.
     */
   def zscore(rows: Array[Array[Double]]): Array[Array[Double]] = {
+    val len = if (rows.isEmpty) 0 else rows(0).length
+    rows.indices.foreach { i =>
+      val r = rows(i)
+      require(r.length == len, s"row $i has length ${r.length} but row 0 has length $len")
+      require(len >= 2, s"row $i has length $len: a correlation needs at least 2 values")
+      val bad = r.indexWhere(x => !java.lang.Double.isFinite(x))
+      require(bad < 0, s"row $i has the non-finite value ${r(bad)} at position $bad")
+    }
     rows.map { r =>
       val n    = r.length
       val mean = r.sum / n

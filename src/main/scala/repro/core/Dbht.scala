@@ -47,15 +47,17 @@ object Dbht {
   def bubblesFromTmfg(res: TmfgResult, s: SymMatrix, par: Par): Bubbles = {
     val tree = res.tree
     val wdeg = res.graph.weightedDegrees(s)
-    val dirs = BubbleDirections.compute(tree, res.graph, s, wdeg, par)
+    val towardChild = BubbleDirections.compute(tree, res.graph, s, wdeg, par)
     val nb = tree.numBubbles
-    val treeAdj = Array.tabulate(nb) { b =>
-      val a = new ArrayBuffer[Int](4)
-      if (b != tree.root) a += tree.parent(b)
-      a ++= tree.children(b)
-      a.toArray
+    // one pass over the parent edges (parent(c), c); a bubble has at most
+    // four tree neighbours, one per face
+    val treeAdj = Array.fill(nb)(Array.emptyIntArray)
+    val outNbrs = Array.fill(nb)(Array.emptyIntArray)
+    for (c <- 0 until nb; if c != tree.root) {
+      val p = tree.parent(c)
+      treeAdj(p) :+= c; treeAdj(c) :+= p
+      if (towardChild(c)) outNbrs(p) :+= c else outNbrs(c) :+= p
     }
-    val outNbrs = Array.tabulate(nb)(b => dirs.outNeighbors(b).toArray)
     Bubbles(res.graph.n, Array.tabulate(nb)(tree.verts(_).clone()), treeAdj, outNbrs)
   }
 
@@ -79,35 +81,53 @@ object Dbht {
     }
   }
 
-  /** chi attachment of vertex v to bubble b (paper §V-C): sum of edge
-    * weights from v to bubble members, normalized by the bubble's edge
-    * count 3(|b|-2). Only graph edges contribute (for TMFG bubbles every
-    * member pair is an edge).
+  /** Sum of the graph-edge weights from v to the other members of bubble b
+    * (for TMFG bubbles every member pair is an edge).
     */
-  private def chi(v: Int, b: Int, bub: Bubbles, g: WGraph, s: SymMatrix): Double = {
+  private def weightInto(v: Int, b: Int, bub: Bubbles, g: WGraph, s: SymMatrix): Double = {
     var acc = 0.0
     for (u <- bub.vertsOf(b)) if (u != v && g.hasEdge(u, v)) acc += s(u, v)
-    acc / (3.0 * (bub.vertsOf(b).length - 2))
+    acc
   }
 
-  /** chi' attachment for the second-level (bubble) assignment: the sum of
-    * edge weights from v into b over the total edge weight within b.
+  /** chi attachment of vertex v to bubble b (paper §V-C): `weightInto`
+    * normalized by the bubble's edge count 3(|b|-2).
     */
-  private def chiPrime(v: Int, b: Int, bub: Bubbles, g: WGraph, s: SymMatrix): Double = {
-    var num = 0.0
-    for (u <- bub.vertsOf(b)) if (u != v && g.hasEdge(u, v)) num += s(u, v)
+  private def chi(v: Int, b: Int, bub: Bubbles, g: WGraph, s: SymMatrix): Double =
+    weightInto(v, b, bub, g, s) / (3.0 * (bub.vertsOf(b).length - 2))
+
+  /** Total graph-edge weight within bubble b: the denominator of chi'. */
+  private def weightWithin(b: Int, bub: Bubbles, g: WGraph, s: SymMatrix): Double = {
     val vs = bub.vertsOf(b)
-    var den = 0.0
-    var i = 0
-    while (i < vs.length) {
-      var j = i + 1
-      while (j < vs.length) {
-        if (g.hasEdge(vs(i), vs(j))) den += s(vs(i), vs(j))
-        j += 1
-      }
-      i += 1
+    var acc = 0.0
+    for (i <- vs.indices; j <- i + 1 until vs.length) if (g.hasEdge(vs(i), vs(j))) acc += s(vs(i), vs(j))
+    acc
+  }
+
+  /** WRITEMAX((score, b)) over the bubbles `bs`: the highest score, ties
+    * to the larger bubble id; -1 when `bs` is empty.
+    */
+  private def argmax(bs: Array[Int])(score: Int => Double): Int = {
+    var bestB = -1
+    var best = Double.NegativeInfinity
+    for (b <- bs) {
+      val x = score(b)
+      if (x > best || (x == best && b > bestB)) { best = x; bestB = b }
     }
-    if (den == 0.0) 0.0 else num / den
+    bestB
+  }
+
+  /** The vertices of each group id in 0 until `numGroups`, ascending (the
+    * member order `planGroup`'s tie-breaks rely on), from one counting
+    * pass over `group`; vertices with a negative group are left out.
+    */
+  private def groupMembers(group: Array[Int], numGroups: Int): Array[Array[Int]] = {
+    val size = new Array[Int](numGroups)
+    for (b <- group; if b >= 0) size(b) += 1
+    val out = size.map(new Array[Int](_))
+    java.util.Arrays.fill(size, 0)
+    for (v <- group.indices; b = group(v); if b >= 0) { out(b)(size(b)) = v; size(b) += 1 }
+    out
   }
 
   /** Two-level vertex assignment (Algorithm 4, Lines 1-23). */
@@ -119,21 +139,11 @@ object Dbht {
     val reach = reachableConverging(bub, par)
     val byVertex = bub.bubblesOfVertex
 
-    // --- level 1: groups. WRITEMAX((chi, b)) over converging bubbles
-    // containing v; ties prefer the larger bubble id. ---
-    val group = Array.fill(n)(-1)
-    par.parFor(n, grain = 64) { v =>
-      var bestB = -1
-      var bestChi = Double.NegativeInfinity
-      for (b <- byVertex(v); if isConv(b)) {
-        val x = chi(v, b, bub, g, s)
-        if (x > bestChi || (x == bestChi && b > bestB)) { bestChi = x; bestB = b }
-      }
-      group(v) = bestB
-    }
+    // --- level 1: groups, by max chi over converging bubbles containing v ---
+    val group = par.parMap(n, grain = 64)(v => argmax(byVertex(v).filter(isConv))(chi(v, _, bub, g, s)))
 
     // V_b^0: vertices assigned to each converging bubble so far
-    val v0 = conv.map(b => (b, (0 until n).filter(group(_) == b).toArray)).toMap
+    val v0 = groupMembers(group, bub.numBubbles)
 
     // --- vertices in no converging bubble: WRITEMIN((Lbar, b)) over
     // reachable converging bubbles; ties prefer the smaller bubble id. ---
@@ -152,33 +162,20 @@ object Dbht {
             if (lbar < bestL || (lbar == bestL && (bestB == -1 || b < bestB))) { bestL = lbar; bestB = b }
           }
         }
-        if (bestB == -1) {
-          // every reachable converging bubble is empty so far (possible
-          // only in degenerate inputs): fall back to max chi over them
-          var bc = Double.NegativeInfinity
-          for (b <- cand) {
-            val x = chi(v, b, bub, g, s)
-            if (x > bc || (x == bc && b > bestB)) { bc = x; bestB = b }
-          }
-          if (bestB == -1 && conv.nonEmpty) bestB = conv(0)
-        }
+        // every reachable converging bubble is empty so far (possible
+        // only in degenerate inputs): fall back to max chi over them
+        if (bestB == -1) bestB = argmax(cand)(chi(v, _, bub, g, s))
+        if (bestB == -1 && conv.nonEmpty) bestB = conv(0)
         group(v) = bestB
       }
     }
 
-    // --- level 2: bubble assignment via chi' over bubbles containing v,
-    // ties prefer the larger bubble id (WRITEMAX). ---
-    val bubbleOf = Array.fill(n)(-1)
-    par.parFor(n, grain = 64) { v =>
-      var bestB = -1
-      var best = Double.NegativeInfinity
-      for (b <- byVertex(v)) {
-        val x = chiPrime(v, b, bub, g, s)
-        if (x > best || (x == best && b > bestB)) { best = x; bestB = b }
-      }
-      bubbleOf(v) = bestB
+    // --- level 2: bubbles, by max chi' (the weight from v into b over the
+    // weight within b) over bubbles containing v ---
+    val within = par.parMap(bub.numBubbles, grain = 64)(weightWithin(_, bub, g, s))
+    val bubbleOf = par.parMap(n, grain = 64) { v =>
+      argmax(byVertex(v))(b => if (within(b) == 0.0) 0.0 else weightInto(v, b, bub, g, s) / within(b))
     }
-
     Assignments(group, bubbleOf, conv)
   }
 
@@ -193,115 +190,87 @@ object Dbht {
     */
   final case class GroupPlan(members: Array[Int], merges: Array[LocalMerge])
 
+  /** Complete linkage over `clusters` under the point distance `dist`;
+    * `roots` are the clusters' current node ids and `merge(a, b, d)`
+    * records one merge of two nodes and returns the new node's id.
+    * Returns the root node.
+    */
+  private def completeLinkage(clusters: Array[Array[Int]], roots: Array[Int], dist: (Int, Int) => Double)
+                             (merge: (Int, Int, Double) => Int): Int = {
+    val k = clusters.length
+    val cd = Linkage.clusterDistances(clusters, dist, Linkage.Complete)
+    val node = roots ++ new Array[Int](k - 1)
+    for ((mm, t) <- Linkage.agglomerate(k, cd, clusters.map(_.length), Linkage.Complete).zipWithIndex)
+      node(k + t) = merge(node(mm.a), node(mm.b), mm.dist)
+    node.last
+  }
+
   /** Plan one group's intra-bubble + inter-bubble complete linkage. */
   def planGroup(members: Array[Int], bubbleOf: Array[Int], apspD: SymMatrix): GroupPlan = {
     val m = members.length
-    val memberIdx = members.zipWithIndex.toMap
-    if (m == 1) GroupPlan(members, Array.empty)
-    else {
-      val bubbleIds = members.map(bubbleOf).distinct.sorted
-      val subgroups = bubbleIds.map(b => members.filter(v => bubbleOf(v) == b))
-      val merges = new ArrayBuffer[LocalMerge]()
-      var nextLocal = m
-      val subRootLocal = new Array[Int](subgroups.length)
-      // intra-bubble complete linkage per subgroup
-      for ((sg, ord) <- subgroups.zipWithIndex) {
-        if (sg.length == 1) subRootLocal(ord) = memberIdx(sg(0))
-        else {
-          val k = sg.length
-          val dmat = new Array[Double](k * k)
-          for (i <- 0 until k; j <- i + 1 until k) {
-            val dd = apspD(sg(i), sg(j))
-            dmat(i * k + j) = dd; dmat(j * k + i) = dd
-          }
-          val ms = Linkage.agglomerate(k, dmat, Array.fill(k)(1), Linkage.Complete)
-          val nodeOf = new Array[Int](2 * k - 1)
-          for (i <- 0 until k) nodeOf(i) = memberIdx(sg(i))
-          for ((mm, t) <- ms.zipWithIndex) {
-            val id = nextLocal; nextLocal += 1
-            merges += LocalMerge(nodeOf(mm.a), nodeOf(mm.b), mm.dist, kind = 0, bubbleOrd = ord)
-            nodeOf(k + t) = id
-          }
-          subRootLocal(ord) = nextLocal - 1
-        }
+    val merges = new ArrayBuffer[LocalMerge]()
+    def link(clusters: Array[Array[Int]], roots: Array[Int], kind: Int, ord: Int): Int =
+      completeLinkage(clusters, roots, (a, b) => apspD(members(a), members(b))) { (a, b, d) =>
+        merges += LocalMerge(a, b, d, kind, ord)
+        m + merges.length - 1
       }
-      // inter-bubble complete linkage across subgroup roots
-      if (subgroups.length > 1) {
-        val cd = Linkage.clusterDistances(subgroups, (a, b) => apspD(a, b), Linkage.Complete)
-        val ms = Linkage.agglomerate(subgroups.length, cd,
-          subgroups.map(_.length), Linkage.Complete)
-        val nodeOf = new Array[Int](2 * subgroups.length - 1)
-        for (i <- subgroups.indices) nodeOf(i) = subRootLocal(i)
-        for ((mm, t) <- ms.zipWithIndex) {
-          val id = nextLocal; nextLocal += 1
-          merges += LocalMerge(nodeOf(mm.a), nodeOf(mm.b), mm.dist, kind = 1, bubbleOrd = 0)
-          nodeOf(subgroups.length + t) = id
-        }
-      }
-      GroupPlan(members, merges.toArray)
-    }
+    // subgroups as indices into `members`, by ascending bubble id
+    val subgroups = members.indices.toArray.groupBy(i => bubbleOf(members(i))).toArray.sortBy(_._1).map(_._2)
+    // intra-bubble linkage per subgroup, then inter-bubble across their roots
+    val subRoots = subgroups.zipWithIndex.map { case (sg, ord) => link(sg.map(Array(_)), sg, 0, ord) }
+    link(subgroups, subRoots, 1, 0)
+    GroupPlan(members, merges.toArray)
   }
 
   /** Build the DBHT dendrogram (Algorithm 4, Lines 24-33 plus the height
     * re-assignment of §V-D): complete linkage within each subgroup
     * (group x bubble), then across subgroups within a group, then across
     * groups, with heights 1/(n_b-1)..1 inside each group and
-    * #converging-bubbles-in-descendants at the top level.
+    * #converging-bubbles-in-descendants at the top level. The groups are
+    * planned in parallel on `par`.
     */
-  def dendrogram(n: Int, asg: Assignments, apspD: SymMatrix, par: Par): Dendrogram = {
-    val groups = asg.group.distinct.sorted
-    val plans: Array[GroupPlan] = par.parMap(groups.length) { gi =>
-      val bc = groups(gi)
-      planGroup((0 until n).filter(asg.group(_) == bc).toArray, asg.bubble, apspD)
+  def dendrogram(n: Int, asg: Assignments, apspD: SymMatrix, par: Par): Dendrogram =
+    hierarchy(n, asg, apspD) { groups =>
+      par.parMap(groups.length)(gi => planGroup(groups(gi), asg.bubble, apspD))
     }
-    assemble(n, plans, apspD)
-  }
+
+  /** `dendrogram` with the group fan-out left to `planAll`: given the
+    * members of every group, in ascending group id, it returns `planGroup`
+    * of each, in order. `dendrogram` fans out on a `Par`,
+    * `repro.spark.SparkPipeline.dendrogram` on an RDD.
+    */
+  def hierarchy(n: Int, asg: Assignments, apspD: SymMatrix)
+               (planAll: Array[Array[Int]] => Array[GroupPlan]): Dendrogram =
+    assemble(n, planAll(groupMembers(asg.group, asg.group.max + 1).filter(_.nonEmpty)), apspD)
 
   /** Apply group plans to a shared builder and finish with the top-level
     * inter-group complete linkage.
     */
-  def assemble(n: Int, plans: Array[GroupPlan], apspD: SymMatrix): Dendrogram = {
-    val groups = plans.indices.toArray
+  private def assemble(n: Int, plans: Array[GroupPlan], apspD: SymMatrix): Dendrogram = {
     val builder = new DendroBuilder(n)
-    val groupRoot = new Array[Int](groups.length)
-    for (gi <- groups.indices) {
-      val plan = plans(gi)
+    val groupRoots = plans.map { plan =>
       val m = plan.members.length
-      val globalOf = new Array[Int](m + plan.merges.length)
-      for (i <- 0 until m) globalOf(i) = plan.members(i)
-      val mergeNode = new Array[Int](plan.merges.length)
-      for ((mm, t) <- plan.merges.zipWithIndex) {
-        val gid = builder.merge(globalOf(mm.a), globalOf(mm.b), 0.0)
-        globalOf(m + t) = gid
-        mergeNode(t) = gid
-      }
-      // heights: sort intra (by bubble order then distance then creation)
-      // before inter (by distance then creation); assign 1/(n_b-1) .. 1
+      val node = plan.members ++ new Array[Int](plan.merges.length) // local -> global id
+      for ((mm, t) <- plan.merges.zipWithIndex) node(m + t) = builder.merge(node(mm.a), node(mm.b), 0.0)
+      // heights: intra merges (by bubble order, then distance, then
+      // creation) before inter merges (by distance, then creation) get
+      // 1/(m-1) .. 1
       val order = plan.merges.indices.sortBy { t =>
         val mm = plan.merges(t)
-        (mm.kind, if (mm.kind == 0) mm.bubbleOrd else 0, mm.dist, t)
+        (mm.kind, mm.bubbleOrd, mm.dist, t)
       }
-      val nb = m
-      for ((t, rank) <- order.zipWithIndex)
-        builder.setHeight(mergeNode(t), 1.0 / (nb - 1 - rank))
-      groupRoot(gi) = if (plan.merges.isEmpty) plan.members(0) else mergeNode.last
+      for ((t, rank) <- order.zipWithIndex) builder.setHeight(node(m + t), 1.0 / (m - 1 - rank))
+      node.last
     }
-
     // top level: complete linkage across groups, heights = number of
     // converging bubbles (groups) among descendants
-    if (groups.length > 1) {
-      val memberSets = plans.map(_.members)
-      val cd = Linkage.clusterDistances(memberSets, (a, b) => apspD(a, b), Linkage.Complete)
-      val ms = Linkage.agglomerate(groups.length, cd, memberSets.map(_.length), Linkage.Complete)
-      val nodeOf  = new Array[Int](2 * groups.length - 1)
-      val nGroups = new Array[Int](2 * groups.length - 1)
-      for (i <- groups.indices) { nodeOf(i) = groupRoot(i); nGroups(i) = 1 }
-      for ((mm, t) <- ms.zipWithIndex) {
-        val cnt = nGroups(mm.a) + nGroups(mm.b)
-        val gid = builder.merge(nodeOf(mm.a), nodeOf(mm.b), cnt.toDouble)
-        nodeOf(groups.length + t) = gid
-        nGroups(groups.length + t) = cnt
-      }
+    val groupsUnder = new Array[Int](2 * n - 1)
+    groupRoots.foreach(groupsUnder(_) = 1)
+    completeLinkage(plans.map(_.members), groupRoots, apspD(_, _)) { (a, b, _) =>
+      val c = groupsUnder(a) + groupsUnder(b)
+      val id = builder.merge(a, b, c.toDouble)
+      groupsUnder(id) = c
+      id
     }
     builder.build()
   }

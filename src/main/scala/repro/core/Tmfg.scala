@@ -179,6 +179,9 @@ object Tmfg {
 
     // --- seed: the four vertices with largest row sums in S ---
     val rowSums = par.parMap(n)(i => s.rowSum(i))
+    // a row sum is finite iff every entry of the row is (barring overflow)
+    val badRow = rowSums.indexWhere(x => !java.lang.Double.isFinite(x))
+    require(badRow < 0, s"S must be finite: row $badRow sums to ${rowSums(badRow)}")
     val seed = (0 until n).sortBy(i => (-rowSums(i), i)).take(4).toArray
 
     val edges = new ArrayBuffer[(Int, Int)](3 * n)
@@ -263,6 +266,9 @@ object Tmfg {
 
       // --- Lines 9-10: pick up to `prefix` vertex-face pairs ---
       val selected = selectBatch(alive, aliveCount, bestV, bestGain, prefix)
+      if (selected.isEmpty)
+        throw new IllegalStateException(
+          s"round $rounds found no face with a best vertex while $vcount vertices remain")
 
       // --- Lines 11-17: insert the batch ---
       numDirty = 0

@@ -35,47 +35,36 @@ object Methods {
   }
 
   /** PAR-TDBHT: the paper's contribution — batched TMFG + optimized DBHT. */
-  def parTdbht(s: SymMatrix, d: SymMatrix, prefix: Int, k: Int, par: Par): RunResult = {
-    val (res, tTmfg)    = timed(Tmfg.build(s, prefix, par))
-    val (apsp, tApsp)   = timed(Apsp.allPairs(res.graph, d, par))
-    val (asg, tBubble)  = timed {
-      val bub = Dbht.bubblesFromTmfg(res, s, par)
-      Dbht.assign(bub, res.graph, s, apsp, par)
-    }
-    val (dendro, tHier) = timed(Dbht.dendrogram(s.n, asg, apsp, par))
-    RunResult(dendro.cut(k), Timings(tTmfg, tApsp, tBubble, tHier),
-      Some(dendro), res.graph.totalWeight(s))
-  }
+  def parTdbht(s: SymMatrix, d: SymMatrix, prefix: Int, k: Int, par: Par): RunResult =
+    dbht(s, d, k, par)(Tmfg.build(s, prefix, par))(_.graph, Dbht.bubblesFromTmfg(_, s, par))
 
   /** SEQ-TDBHT baseline: sequential TMFG (PREFIX=1, 1 thread) and the
     * original quadratic DBHT steps (triangle enumeration + BFS
     * separating tests + BFS directions).
     */
   def seqTdbht(s: SymMatrix, d: SymMatrix, k: Int): RunResult = Par.withThreads(1) { par1 =>
-    val (res, tTmfg)  = timed(Tmfg.build(s, 1, par1))
-    val (apsp, tApsp) = timed(Apsp.allPairs(res.graph, d, par1))
-    val (asg, tBubble) = timed {
-      val bub = GenericBubbles.bubbles(res.graph, s)
-      Dbht.assign(bub, res.graph, s, apsp, par1)
-    }
-    val (dendro, tHier) = timed(Dbht.dendrogram(s.n, asg, apsp, par1))
-    RunResult(dendro.cut(k), Timings(tTmfg, tApsp, tBubble, tHier),
-      Some(dendro), res.graph.totalWeight(s))
+    dbht(s, d, k, par1)(Tmfg.build(s, 1, par1).graph)(identity, GenericBubbles.bubbles(_, s))
   }
 
   /** PMFG-DBHT baseline: repeated-planarity-test PMFG construction and
     * the original quadratic DBHT.
     */
   def pmfgDbht(s: SymMatrix, d: SymMatrix, k: Int): RunResult = Par.withThreads(1) { par1 =>
-    val (g, tPmfg)    = timed(Pmfg.build(s))
-    val (apsp, tApsp) = timed(Apsp.allPairs(g, d, par1))
-    val (asg, tBubble) = timed {
-      val bub = GenericBubbles.bubbles(g, s)
-      Dbht.assign(bub, g, s, apsp, par1)
-    }
-    val (dendro, tHier) = timed(Dbht.dendrogram(s.n, asg, apsp, par1))
-    RunResult(dendro.cut(k), Timings(tPmfg, tApsp, tBubble, tHier),
-      Some(dendro), g.totalWeight(s))
+    dbht(s, d, k, par1)(Pmfg.build(s))(identity, GenericBubbles.bubbles(_, s))
+  }
+
+  /** The four timed steps of every DBHT method: `build` the filtered
+    * graph (`graphOf` reads the graph off its result), APSP, bubbles
+    * (`bubblesOf`) + assignment, hierarchy; then the cut at k.
+    */
+  private def dbht[G](s: SymMatrix, d: SymMatrix, k: Int, par: Par)(build: => G)
+                     (graphOf: G => WGraph, bubblesOf: G => Bubbles): RunResult = {
+    val (built, tGraph) = timed(build)
+    val g = graphOf(built)
+    val (apsp, tApsp)   = timed(Apsp.allPairs(g, d, par))
+    val (asg, tBubble)  = timed(Dbht.assign(bubblesOf(built), g, s, apsp, par))
+    val (dendro, tHier) = timed(Dbht.dendrogram(s.n, asg, apsp, par))
+    RunResult(dendro.cut(k), Timings(tGraph, tApsp, tBubble, tHier), Some(dendro), g.totalWeight(s))
   }
 
   /** COMP / AVG baselines: HAC over the full dissimilarity matrix. */

@@ -19,25 +19,18 @@ object SparkPipeline {
                                   graph: WGraph, rounds: Int)
 
   /** Distributed per-group dendrogram planning (Algorithm 4 Lines 24-33):
-    * groups fan out over an RDD; the APSP matrix ships as a broadcast.
+    * `Dbht.hierarchy` with the groups fanned out over an RDD; the APSP
+    * matrix and the bubble assignment ship as broadcasts.
     */
   def dendrogram(spark: SparkSession, n: Int, asg: Dbht.Assignments,
                  apspD: SymMatrix): Dendrogram = {
     val sc = spark.sparkContext
-    val groups = asg.group.distinct.sorted
-    val memberSets = groups.map(bc => (0 until n).filter(asg.group(_) == bc).toArray)
     val bApsp   = sc.broadcast(apspD.data)
     val bBubble = sc.broadcast(asg.bubble)
-    try {
-      val plans = sc
-        .parallelize(memberSets.toIndexedSeq.zipWithIndex, math.min(64, math.max(1, groups.length)))
-        .map { case (members, gi) =>
-          (gi, Dbht.planGroup(members, bBubble.value, SymMatrix.wrap(n, bApsp.value)))
-        }
+    try Dbht.hierarchy(n, asg, apspD) { groups =>
+      sc.parallelize(groups.toIndexedSeq, math.min(64, math.max(1, groups.length)))
+        .map(members => Dbht.planGroup(members, bBubble.value, SymMatrix.wrap(n, bApsp.value)))
         .collect()
-        .sortBy(_._1)
-        .map(_._2)
-      Dbht.assemble(n, plans, apspD)
     } finally {
       bApsp.destroy()
       bBubble.destroy()

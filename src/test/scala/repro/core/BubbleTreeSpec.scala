@@ -124,12 +124,12 @@ class BubbleTreeSpec extends AnyFunSuite {
       val s = TestUtils.randomSim(30, seed)
       val res = Par.withThreads(4)(par => Tmfg.build(s, prefix, par))
       val wdeg = res.graph.weightedDegrees(s)
-      val dirs = Par.withThreads(4)(par =>
+      val towardChild = Par.withThreads(4)(par =>
         BubbleDirections.compute(res.tree, res.graph, s, wdeg, par))
       val tree = res.tree
       for (b <- 0 until tree.numBubbles; if b != tree.root) {
         val (inV, outV) = TestUtils.bruteInOutVals(res.graph, s, tree.sepTri(b), tree.innerVert(b))
-        assert(dirs.towardChild(b) == (inV > outV),
+        assert(towardChild(b) == (inV > outV),
           s"seed=$seed prefix=$prefix bubble=$b in=$inV out=$outV")
       }
     }
@@ -141,28 +141,26 @@ class BubbleTreeSpec extends AnyFunSuite {
     val wdeg = res.graph.weightedDegrees(s)
     val d1 = Par.withThreads(1)(par => BubbleDirections.compute(res.tree, res.graph, s, wdeg, par))
     val d8 = Par.withThreads(8)(par => BubbleDirections.compute(res.tree, res.graph, s, wdeg, par))
-    assert(d1.towardChild.sameElements(d8.towardChild))
+    assert(d1.sameElements(d8))
   }
 
   test("out-degree + converging bubbles are consistent") {
     val s = TestUtils.randomSim(40, 8)
     val res = Par.withThreads(2)(par => Tmfg.build(s, 3, par))
-    val wdeg = res.graph.weightedDegrees(s)
-    val dirs = Par.withThreads(2)(par => BubbleDirections.compute(res.tree, res.graph, s, wdeg, par))
-    val conv = dirs.convergingBubbles
+    val bub = Par.withThreads(2)(par => Dbht.bubblesFromTmfg(res, s, par))
+    val conv = bub.convergingBubbles
     assert(conv.nonEmpty, "a finite directed tree must have a sink")
-    for (b <- conv) assert(dirs.outNeighbors(b).isEmpty)
+    for (b <- conv) assert(bub.outNbrs(b).isEmpty)
     // total out-degree == number of edges
-    val total = (0 until res.tree.numBubbles).map(dirs.outDegree).sum
+    val total = bub.outNbrs.map(_.length).sum
     assert(total == res.tree.numBubbles - 1)
   }
 
   test("single-bubble tree has no directions and is its own converging bubble") {
     val s = TestUtils.randomSim(4, 3)
     val res = Par.withThreads(1)(par => Tmfg.build(s, 1, par))
-    val wdeg = res.graph.weightedDegrees(s)
-    val dirs = Par.withThreads(1)(par => BubbleDirections.compute(res.tree, res.graph, s, wdeg, par))
-    assert(dirs.convergingBubbles.toSeq == Seq(0))
+    val bub = Par.withThreads(1)(par => Dbht.bubblesFromTmfg(res, s, par))
+    assert(bub.convergingBubbles.toSeq == Seq(0))
   }
 
   test("addBubble rejects non-4-cliques") {

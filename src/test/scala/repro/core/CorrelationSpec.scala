@@ -32,6 +32,31 @@ class CorrelationSpec extends AnyFunSuite {
     assert(z(0).forall(_ == 0.0))
   }
 
+  private def rejected(rows: Array[Array[Double]]): String =
+    intercept[IllegalArgumentException](Par.withThreads(1)(par => Correlation.pearson(rows, par))).getMessage
+
+  test("ragged rows are rejected, naming the row") {
+    val msg = rejected(Array(Array(1.0, 2.0, 3.0), Array(1.0, 2.0, 3.0), Array(1.0, 2.0, 3.0, 4.0, 5.0)))
+    assert(msg.contains("row 2") && msg.contains("length 5"), msg)
+  }
+
+  test("non-finite values are rejected, naming the row") {
+    for (bad <- Seq(Double.NaN, Double.PositiveInfinity, Double.NegativeInfinity)) {
+      val rows = Array.tabulate(4)(i => Array.tabulate(6)(t => math.sin(i + t)))
+      rows(1)(4) = bad
+      val msg = rejected(rows)
+      assert(msg.contains("row 1") && msg.contains("position 4"), msg)
+      intercept[IllegalArgumentException](Correlation.zscore(rows))
+    }
+  }
+
+  test("rows with fewer than 2 points are rejected") {
+    for (len <- Seq(0, 1)) {
+      val msg = rejected(Array.fill(3)(Array.fill(len)(1.0)))
+      assert(msg.contains("row 0") && msg.contains("at least 2"), msg)
+    }
+  }
+
   test("pearson matches the naive per-pair formula") {
     val rng = new Random(2)
     val rows = Array.fill(8)(Array.fill(64)(rng.nextGaussian()))

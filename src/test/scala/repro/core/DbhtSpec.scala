@@ -150,21 +150,58 @@ class DbhtSpec extends AnyFunSuite {
   }
 
   test("subgroup members stay together below the inter-bubble level") {
-    val s = TestUtils.randomSim(36, 12)
-    val (_, _, asg, den, _) = pipeline(s, 1)
-    // cutting at a number of clusters equal to the number of subgroups
-    // can only split along subgroup boundaries when heights are correct:
-    // each cluster is a union of subgroups or a subset of one subgroup
-    val subgroupOf = (0 until 36).map(v => (asg.group(v), asg.bubble(v)))
-    val labels = den.cut(math.min(10, subgroupOf.distinct.length))
-    for (sg <- subgroupOf.distinct) {
-      val vs = (0 until 36).filter(v => subgroupOf(v) == sg)
-      val ls = vs.map(labels).distinct
-      // a subgroup is either intact or fully inside one cluster after a
-      // coarse cut (clusters >= subgroups means splits happen at or above
-      // subgroup roots only when heights respect the hierarchy levels)
-      assert(ls.length >= 1)
+    // within a group every intra-bubble merge lies below every
+    // inter-bubble merge, so at any cut a cluster's part in a group is a
+    // union of whole subgroups (group x bubble) or lies inside one, and
+    // once a subgroup is split no cluster spans two subgroups of its group
+    val n = 36
+    var splitChecks = 0
+    for (seed <- 1L to 12L; prefix <- Seq(1, 4)) {
+      val (_, _, asg, den, _) = pipeline(TestUtils.randomSim(n, seed), prefix)
+      for (k <- 1 to n) {
+        val labels = den.cut(k)
+        for ((gid, members) <- (0 until n).groupBy(asg.group)) {
+          val subgroups = members.groupBy(asg.bubble)
+          val split = subgroups.values.exists(_.map(labels).distinct.length > 1)
+          if (split) splitChecks += 1
+          for ((label, cluster) <- members.groupBy(labels)) {
+            val spanned = cluster.map(asg.bubble).distinct
+            val where = s"seed=$seed prefix=$prefix k=$k group=$gid cluster=$label"
+            if (spanned.length > 1) {
+              assert(spanned.forall(b => subgroups(b).forall(labels(_) == label)),
+                s"$where: spans subgroups ${spanned.mkString(",")} without containing them whole")
+              assert(!split, s"$where: spans two subgroups while a subgroup of the group is split")
+            }
+          }
+        }
+      }
     }
+    assert(splitChecks > 0, "no cut split a subgroup")
+  }
+
+  test("assign falls back to max chi when every reachable converging bubble has an empty V0") {
+    // bubbles 0, 1 and 2 converge; 3 -> 2, 4 -> {0, 2}, 5 -> {1, 2}.
+    // Bubble 2 = {1,2,3,4} loses each of its vertices to bubble 0 or 1 on
+    // chi, so its V0 is empty, and vertex 6 (only in bubble 3) reaches
+    // bubble 2 alone: no mean shortest path exists and chi decides
+    val vertsOf = Array(Array(0, 1, 2, 3), Array(2, 3, 4, 5), Array(1, 2, 3, 4),
+                        Array(3, 4, 5, 6), Array(0, 1, 3, 4), Array(1, 2, 4, 5))
+    val treeAdj = Array(Array(4), Array(5), Array(3, 4, 5), Array(2), Array(0, 2), Array(1, 2))
+    val outNbrs = Array(Array.emptyIntArray, Array.emptyIntArray, Array.emptyIntArray,
+                        Array(2), Array(0, 2), Array(1, 2))
+    val bub = Bubbles(7, vertsOf, treeAdj, outNbrs)
+    val s = SymMatrix.zeros(7)
+    for (i <- 0 until 7; j <- i until 7) s.update(i, j, if (i == j) 1.0 else 0.5)
+    s.update(0, 1, 0.9); s.update(0, 2, 0.9); s.update(0, 3, 0.9); s.update(4, 5, 0.9)
+    val g = WGraph.fromEdges(7, for (i <- 0 until 7; j <- i + 1 until 7) yield (i, j))
+    val apsp = Par.withThreads(1)(par => Apsp.allPairs(g, Correlation.dissimilarity(s), par))
+    val runs = Seq(1, 4).map(t => Par.withThreads(t)(par => Dbht.assign(bub, g, s, apsp, par)))
+    for (asg <- runs) {
+      assert(asg.converging.toSeq == Seq(0, 1, 2))
+      assert(asg.group.toSeq == Seq(0, 0, 0, 0, 1, 1, 2), "only vertex 6 in bubble 2's group")
+      assert(asg.bubble(6) == 3)
+    }
+    assert(runs(0).group.sameElements(runs(1).group) && runs(0).bubble.sameElements(runs(1).bubble))
   }
 
   /** The Appendix example (Fig. 12-13): 6 points, ground truth

@@ -53,10 +53,10 @@ class Figure2Spec extends AnyFunSuite {
 
   private def consistent(s: SymMatrix, tree: BubbleTree, g: WGraph, par: Par): Boolean = {
     val wdeg = g.weightedDegrees(s)
-    val dirs = BubbleDirections.compute(tree, g, s, wdeg, par)
+    val towardChild = BubbleDirections.compute(tree, g, s, wdeg, par)
     // all three edges directed into b2: child b1 -> parent b2 (towardChild
     // false), child b4 -> parent b2 (false), parent b3 -> child b2 (true)
-    if (dirs.towardChild(B1) || dirs.towardChild(B4) || !dirs.towardChild(B2)) return false
+    if (towardChild(B1) || towardChild(B4) || !towardChild(B2)) return false
     val bub = Dbht.bubblesFromTmfg(TmfgResult(g, tree, 3, Array(0, 1, 2, 4, 3, 5, 6)), s, par)
     if (!bub.convergingBubbles.sameElements(Array(B2))) return false
     val d = Correlation.dissimilarity(s)

@@ -228,6 +228,24 @@ class TmfgSpec extends AnyFunSuite {
     }
   }
 
+  test("a NaN entry in S is rejected, naming its row") {
+    val s = TestUtils.randomSim(12, 2)
+    s.update(3, 7, Double.NaN)
+    for (prefix <- Seq(1, 4)) {
+      val e = intercept[IllegalArgumentException](Par.withThreads(2)(par => Tmfg.build(s, prefix, par)))
+      assert(e.getMessage.contains("row 3"), e.getMessage)
+    }
+  }
+
+  test("a round that selects no face fails instead of looping") {
+    // a scan that finds no best vertex for any face leaves the batch empty
+    val e = intercept[IllegalStateException](Par.withThreads(1) { par =>
+      Tmfg.grow(TestUtils.randomSim(8, 1), 2, par)((tris, _, _) =>
+        Array.fill(tris.length / 3)((-1, Double.NegativeInfinity)))
+    })
+    assert(e.getMessage.contains("4 vertices remain"), e.getMessage)
+  }
+
   test("graph is connected") {
     val res = build(45, 9)
     assert(res.graph.isConnectedExcluding(Set.empty))

@@ -1,8 +1,9 @@
 package repro.harness
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.core.{Ari, Linkage, Par}
+import repro.core._
 import repro.data.TimeSeriesGen
+import repro.pmfg.{GenericBubbles, Pmfg}
 
 /** Integration tests: every method runner in the harness produces sane
   * clusters and timings on a small class-structured dataset.
@@ -43,6 +44,26 @@ class MethodsSpec extends AnyFunSuite {
       val t = Methods.parTdbht(s, d, prefix = 1, k = 4, par)
       val p = Methods.pmfgDbht(s, d, k = 4)
       assert(p.totalEdgeWeight >= t.totalEdgeWeight - 1e-9)
+    }
+  }
+
+  test("each DBHT runner's dendrogram equals its layer calls composed by hand") {
+    def byHand(g: WGraph, bubbles: WGraph => Bubbles, par: Par): Dendrogram = {
+      val apsp = Apsp.allPairs(g, d, par)
+      Dbht.dendrogram(s.n, Dbht.assign(bubbles(g), g, s, apsp, par), apsp, par)
+    }
+    def same(a: Dendrogram, b: Dendrogram): Boolean =
+      a.left.sameElements(b.left) && a.right.sameElements(b.right) && a.height.sameElements(b.height)
+    Par.withThreads(4) { par =>
+      val res = Tmfg.build(s, 2, par)
+      val want = byHand(res.graph, _ => Dbht.bubblesFromTmfg(res, s, par), par)
+      assert(same(Methods.parTdbht(s, d, prefix = 2, k = 4, par).dendrogram.get, want), "parTdbht")
+    }
+    Par.withThreads(1) { par =>
+      val seq = byHand(Tmfg.build(s, 1, par).graph, GenericBubbles.bubbles(_, s), par)
+      assert(same(Methods.seqTdbht(s, d, k = 4).dendrogram.get, seq), "seqTdbht")
+      val pmfg = byHand(Pmfg.build(s), GenericBubbles.bubbles(_, s), par)
+      assert(same(Methods.pmfgDbht(s, d, k = 4).dendrogram.get, pmfg), "pmfgDbht")
     }
   }
 
