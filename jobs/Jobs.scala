@@ -35,12 +35,34 @@ object T7SpectralSensitivity { def main(args: Array[String]): Unit = { Experimen
 object T8Stock { def main(args: Array[String]): Unit = { Experiments.t8(); () } }
 
 /** Fully distributed pipeline on one registry dataset:
-  * args = [datasetId] [prefix], defaults 6 (ecg-like) and 10.
+  * args = [datasetId] [prefix], defaults 6 (ecg-like) and 10. Bad
+  * arguments end the job with a usage line before Spark starts.
   */
 object Pipeline {
+  val Usage: String =
+    s"usage: Pipeline [datasetId: one of ${Datasets.specs.map(_.id).mkString(", ")}] [prefix >= 1]"
+
+  /** (datasetId, prefix) from the arguments, or Left(a one-line usage
+    * message naming the bad argument).
+    */
+  def parseArgs(args: Array[String]): Either[String, (Int, Int)] = {
+    def int(i: Int, default: Int, name: String): Either[String, Int] =
+      args.lift(i).fold[Either[String, Int]](Right(default))(a =>
+        a.toIntOption.toRight(s"$name '$a' is not an integer; $Usage"))
+    for {
+      _      <- Either.cond(args.length <= 2, (), s"expected at most 2 arguments, got ${args.length}; $Usage")
+      id     <- int(0, 6, "datasetId")
+      _      <- Either.cond(Datasets.specs.exists(_.id == id), (), s"no dataset with id $id; $Usage")
+      prefix <- int(1, 10, "prefix")
+      _      <- Either.cond(prefix >= 1, (), s"prefix $prefix is below 1; $Usage")
+    } yield (id, prefix)
+  }
+
   def main(args: Array[String]): Unit = {
-    val id     = args.headOption.map(_.toInt).getOrElse(6)
-    val prefix = args.lift(1).map(_.toInt).getOrElse(10)
+    val (id, prefix) = parseArgs(args) match {
+      case Right(parsed) => parsed
+      case Left(msg)     => System.err.println(msg); sys.exit(2)
+    }
     val spark = SparkSession.builder
       .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
       .appName(s"repro-pipeline-$id")

@@ -39,7 +39,7 @@ final class Dendrogram(val nLeaves: Int,
     * labels in 0..k-1, numbered by smallest contained leaf.
     */
   def cut(k: Int): Array[Int] = {
-    require(k >= 1 && k <= nLeaves, s"cannot cut $nLeaves leaves into $k clusters")
+    Dendrogram.checkK(k, nLeaves)
     // max-heap over (height, id): break height ties on larger id (later
     // merge), which keeps the split order deterministic
     val ord = Ordering.by[(Double, Int), (Double, Int)](identity)
@@ -62,6 +62,15 @@ final class Dendrogram(val nLeaves: Int,
   def isMonotone: Boolean =
     (0 until nLeaves - 1).forall(t =>
       height(t) >= heightOf(left(t)) - 1e-12 && height(t) >= heightOf(right(t)) - 1e-12)
+}
+
+object Dendrogram {
+  /** Rejects a cluster count k outside 1..n for n objects. Every pipeline
+    * calls this before its first stage, so a bad k fails in no time
+    * rather than at the cut after the whole run.
+    */
+  def checkK(k: Int, n: Int): Unit =
+    require(1 <= k && k <= n, s"k = $k is outside 1..n = $n: cannot cut $n objects into $k clusters")
 }
 
 /** Incremental builder: start from `nLeaves` singleton nodes, `merge`

@@ -55,10 +55,12 @@ object Methods {
 
   /** The four timed steps of every DBHT method: `build` the filtered
     * graph (`graphOf` reads the graph off its result), APSP, bubbles
-    * (`bubblesOf`) + assignment, hierarchy; then the cut at k.
+    * (`bubblesOf`) + assignment, hierarchy; then the cut at k, whose
+    * range is checked before the first step.
     */
   private def dbht[G](s: SymMatrix, d: SymMatrix, k: Int, par: Par)(build: => G)
                      (graphOf: G => WGraph, bubblesOf: G => Bubbles): RunResult = {
+    Dendrogram.checkK(k, s.n)
     val (built, tGraph) = timed(build)
     val g = graphOf(built)
     val (apsp, tApsp)   = timed(Apsp.allPairs(g, d, par))
@@ -69,6 +71,7 @@ object Methods {
 
   /** COMP / AVG baselines: HAC over the full dissimilarity matrix. */
   def hacBaseline(d: SymMatrix, k: Int, method: Linkage.Method): RunResult = {
+    Dendrogram.checkK(k, d.n)
     val (dendro, t) = timed(Linkage.hac(d, method))
     RunResult(dendro.cut(k), Timings(0, 0, 0, t), Some(dendro), 0.0)
   }

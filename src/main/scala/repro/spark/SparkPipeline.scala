@@ -37,8 +37,11 @@ object SparkPipeline {
     }
   }
 
-  /** Full pipeline from raw series to flat clusters (cut at k). */
+  /** Full pipeline from raw series to flat clusters (cut at k; a k
+    * outside 1..n fails before any stage runs).
+    */
   def run(spark: SparkSession, ds: Dataset, prefix: Int, k: Int): PipelineResult = {
+    Dendrogram.checkK(k, ds.n)
     val s = SparkCorrelation.pearson(spark, ds.data)
     val d = Correlation.dissimilarity(s)
     val res  = SparkTmfg.build(spark, s, prefix)

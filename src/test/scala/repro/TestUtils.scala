@@ -56,6 +56,30 @@ object TestUtils {
     m
   }
 
+  /** Pearson matrix one pair at a time: each pair's dot product of the
+    * z-scored rows summed from 0.0 in position order. `Correlation.pearson`
+    * must match it bit for bit.
+    */
+  def pearsonOnePair(rows: Array[Array[Double]], par: Par): SymMatrix = {
+    val n = rows.length
+    val z = Correlation.zscore(rows)
+    val m = SymMatrix.zeros(n)
+    par.parFor(n) { i =>
+      val zi = z(i)
+      m.update(i, i, 1.0)
+      var j = i + 1
+      while (j < n) {
+        val zj = z(j)
+        var s  = 0.0
+        var k  = 0
+        while (k < zi.length) { s += zi(k) * zj(k); k += 1 }
+        m.update(i, j, s)
+        j += 1
+      }
+    }
+    m
+  }
+
   /** Random positive distance-like symmetric matrix, zero diagonal. */
   def randomDist(n: Int, seed: Long): SymMatrix = {
     val rng = new Random(seed)

@@ -81,6 +81,24 @@ class CorrelationSpec extends AnyFunSuite {
     assert(math.abs(m(0, 2) + 1.0) < 1e-9)
   }
 
+  test("pearson is bit-identical to the one-pair loop at every tile and chunk edge") {
+    val rng = new Random(5)
+    for (n <- Seq(1, 2, 3, 4, 5, 7, 33, 65, 130); len <- Seq(2, 3, 511, 512, 513, 1100)) {
+      val rows = Array.fill(n)(Array.fill(len)(rng.nextGaussian()))
+      if (n >= 3) rows(n / 2) = Array.fill(len)(2.5)      // constant: z-scores to zeros
+      if (n >= 4) rows(n - 1) = rows(1).clone()           // duplicate of row 1
+      val ref = Par.withThreads(1)(repro.TestUtils.pearsonOnePair(rows, _))
+      for (threads <- Seq(1, 4)) {
+        val m = Par.withThreads(threads)(par => Correlation.pearson(rows, par))
+        assert(java.util.Arrays.equals(ref.data, m.data), s"n=$n len=$len threads=$threads")
+        for (i <- 0 until n; j <- 0 until n)
+          assert(java.lang.Double.doubleToRawLongBits(m(i, j)) ==
+            java.lang.Double.doubleToRawLongBits(m(j, i)), s"($i,$j) n=$n len=$len")
+        for (i <- 0 until n) assert(m(i, i) == 1.0)
+      }
+    }
+  }
+
   test("pearson identical across thread counts") {
     val rng = new Random(4)
     val rows = Array.fill(20)(Array.fill(40)(rng.nextGaussian()))

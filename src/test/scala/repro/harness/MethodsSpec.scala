@@ -67,6 +67,40 @@ class MethodsSpec extends AnyFunSuite {
     }
   }
 
+  /** `run(k)` rejects k = 0 and k = n + 1 for n objects with the k-range message. */
+  private def rejectsK(n: Int)(run: Int => Any): Unit =
+    for (k <- Seq(0, n + 1)) {
+      val msg = intercept[IllegalArgumentException](run(k)).getMessage
+      assert(msg == s"requirement failed: k = $k is outside 1..n = $n: cannot cut $n objects into $k clusters", msg)
+    }
+
+  // No objects: every stage fails on this input with its own message (TMFG
+  // needs n >= 4, PMFG n >= 3, a dendrogram n >= 1), so the k message shows
+  // that the runner stopped before its first stage.
+  private lazy val empty = SymMatrix.zeros(0)
+
+  test("parTdbht rejects k outside 1..n before building the TMFG") {
+    Par.withThreads(2)(par => rejectsK(0)(k => Methods.parTdbht(empty, empty, prefix = 1, k, par)))
+  }
+
+  test("seqTdbht rejects k outside 1..n before building the TMFG") {
+    rejectsK(0)(k => Methods.seqTdbht(empty, empty, k))
+  }
+
+  test("pmfgDbht rejects k outside 1..n before building the PMFG") {
+    rejectsK(0)(k => Methods.pmfgDbht(empty, empty, k))
+  }
+
+  test("hacBaseline rejects k outside 1..n before the linkage") {
+    rejectsK(0)(k => Methods.hacBaseline(empty, k, Linkage.Complete))
+  }
+
+  test("SparkPipeline.run rejects k outside 1..n before any stage") {
+    // no SparkSession: any stage would fail on it
+    val six = TimeSeriesGen.make("k-range", 6, 8, 2, noise = 0.5, seed = 3)
+    rejectsK(6)(k => repro.spark.SparkPipeline.run(null, six, prefix = 1, k))
+  }
+
   test("COMP and AVG baselines run and produce k clusters") {
     for (m <- Seq[Linkage.Method](Linkage.Complete, Linkage.Average)) {
       val r = Methods.hacBaseline(d, k = 4, m)
