@@ -80,10 +80,29 @@ object Pipeline {
   }
 }
 
-/** Distributed pipeline on the synthetic stock panel (T8's data). */
+/** Distributed pipeline on the synthetic stock panel (T8's data):
+  * args = [prefix], default 30. Bad arguments end the job with a usage
+  * line before Spark starts.
+  */
 object StockPipeline {
+  val Usage: String = "usage: StockPipeline [prefix >= 1]"
+
+  /** The prefix from the arguments, or Left(a one-line usage message
+    * naming the bad argument).
+    */
+  def parseArgs(args: Array[String]): Either[String, Int] =
+    for {
+      _      <- Either.cond(args.length <= 1, (), s"expected at most 1 argument, got ${args.length}; $Usage")
+      prefix <- args.headOption.fold[Either[String, Int]](Right(30))(a =>
+                  a.toIntOption.toRight(s"prefix '$a' is not an integer; $Usage"))
+      _      <- Either.cond(prefix >= 1, (), s"prefix $prefix is below 1; $Usage")
+    } yield prefix
+
   def main(args: Array[String]): Unit = {
-    val prefix = args.headOption.map(_.toInt).getOrElse(30)
+    val prefix = parseArgs(args) match {
+      case Right(parsed) => parsed
+      case Left(msg)     => System.err.println(msg); sys.exit(2)
+    }
     val spark = SparkSession.builder
       .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
       .appName("repro-stock-pipeline")

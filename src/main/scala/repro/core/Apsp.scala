@@ -57,28 +57,45 @@ object Apsp {
     }
   }
 
+  /** The edge weights of `g` under `d`, parallel to `g.adj`:
+    * `w(u)(k) = d(u, g.adj(u)(k))`. O(n) for the planar TMFG.
+    */
+  def edgeWeights(g: WGraph, d: SymMatrix): Array[Array[Double]] =
+    Array.tabulate(g.n)(u => g.adj(u).map(v => d(u, v)))
+
   /** Single-source Dijkstra over `g` with edge weights `d(u,v)`.
     * Returns the distance array (Double.PositiveInfinity if unreachable).
     */
-  def dijkstra(g: WGraph, d: SymMatrix, source: Int): Array[Double] = {
-    val n    = g.n
+  def dijkstra(g: WGraph, d: SymMatrix, source: Int): Array[Double] =
+    dijkstra(g.adj, edgeWeights(g, d), source)
+
+  /** Single-source Dijkstra over the adjacency arrays `adj` with the edge
+    * weights `w` parallel to them (see `edgeWeights`). Returns the
+    * distance array (Double.PositiveInfinity if unreachable).
+    */
+  def dijkstra(adj: Array[Array[Int]], w: Array[Array[Double]], source: Int): Array[Double] = {
+    val n    = adj.length
     val dist = Array.fill(n)(Double.PositiveInfinity)
     val done = new Array[Boolean](n)
-    // each vertex is pushed at most deg(v) times => capacity 2m + 1
-    val heap = new Heap(2 * g.numEdges + n + 1)
+    // each vertex is pushed at most deg(v) times => capacity 2m + n + 1
+    var twoM = 0
+    var i = 0
+    while (i < n) { twoM += adj(i).length; i += 1 }
+    val heap = new Heap(twoM + n + 1)
     dist(source) = 0.0
     heap.push(0.0, source)
     while (heap.size > 0) {
       val u = heap.popVertex()
       if (!done(u)) {
         done(u) = true
-        val a  = g.adj(u)
+        val a  = adj(u)
+        val wu = w(u)
         val du = dist(u)
         var k = 0
         while (k < a.length) {
           val v = a(k)
           if (!done(v)) {
-            val nd = du + d(u, v)
+            val nd = du + wu(k)
             if (nd < dist(v)) { dist(v) = nd; heap.push(nd, v) }
           }
           k += 1
@@ -88,12 +105,15 @@ object Apsp {
     dist
   }
 
-  /** Full APSP matrix: Dijkstra from every source, parallel over sources. */
+  /** Full APSP matrix: Dijkstra from every source, parallel over sources.
+    * The edge weights are read out of `d` once, before the sources run.
+    */
   def allPairs(g: WGraph, d: SymMatrix, par: Par): SymMatrix = {
     val n   = g.n
+    val w   = edgeWeights(g, d)
     val out = SymMatrix.zeros(n)
     par.parFor(n) { src =>
-      val row = dijkstra(g, d, src)
+      val row = dijkstra(g.adj, w, src)
       System.arraycopy(row, 0, out.data, src * n, n)
     }
     out

@@ -46,73 +46,95 @@ object Correlation {
   /** Series positions per pass over a block (4 KiB of each row). */
   private final val KChunk = 512
 
+  /** Number of `RowBlock`-row blocks of an n-row matrix. */
+  def numBlocks(n: Int): Int = (n + RowBlock - 1) / RowBlock
+
+  /** Rows i0 until i1 of block b of an n-row matrix. */
+  def blockRows(n: Int, b: Int): (Int, Int) = (b * RowBlock, math.min(n, (b + 1) * RowBlock))
+
   /** Full Pearson correlation matrix of the given series (rows = objects).
-    * Diagonal is 1. Parallel over blocks of `RowBlock` rows via `par`.
-    *
-    * Each off-diagonal entry is the dot product of two z-scored rows,
-    * summed into one accumulator from 0.0 in position order with plain
-    * multiply and add (no FMA, no split sums), so every value is
-    * bit-identical to the one-pair-at-a-time loop. The speed comes from
-    * computing a 2 x 4 tile of pairs per step (8 independent sums, 6
-    * loads) and walking the series in `KChunk` chunks. A block keeps its
-    * partial sums in its own upper-triangle cells of the output (storing
-    * and reloading a double is exact), then mirrors them: blocks write
-    * disjoint cells.
+    * Diagonal is 1. Parallel over blocks of `RowBlock` rows via `par`:
+    * each block runs `upperBlock` then `mirrorBlock` on the output.
     */
   def pearson(rows: Array[Array[Double]], par: Par): SymMatrix = {
-    val n   = rows.length
-    val z   = zscore(rows)
-    val len = if (n == 0) 0 else z(0).length
-    val m   = SymMatrix.zeros(n)
-    val a   = m.data
-    par.parFor((n + RowBlock - 1) / RowBlock) { b =>
-      val i0 = b * RowBlock
-      val i1 = math.min(n, i0 + RowBlock)
-      var k0 = 0
-      while (k0 < len) {
-        val k1 = math.min(len, k0 + KChunk)
-        // pairs within the block: rows i, i+1 against the rows after them
-        // (an odd last row has none)
-        var i = i0
-        while (i + 1 < i1) {
-          dot(z, a, n, i, i + 1, k0, k1)
-          var j = i + 2
-          while (j + 4 <= i1) { tile(z, a, n, i, j, k0, k1); j += 4 }
-          while (j < i1) { dot(z, a, n, i, j, k0, k1); dot(z, a, n, i + 1, j, k0, k1); j += 1 }
-          i += 2
-        }
-        // the block against every later row: each 4-row tile of later
-        // rows stays in L1 while the block's row pairs pass over it. A
-        // block with later rows has RowBlock rows, an even number.
-        var j = i1
-        while (j + 4 <= n) {
-          i = i0
-          while (i < i1) { tile(z, a, n, i, j, k0, k1); i += 2 }
-          j += 4
-        }
-        i = i0
-        while (i < i1) { var c = j; while (c < n) { dot(z, a, n, i, c, k0, k1); c += 1 }; i += 1 }
-        k0 = k1
-      }
-      var i = i0
-      while (i < i1) {
-        a(i * n + i) = 1.0
-        var j = i + 1
-        while (j < n) { a(j * n + i) = a(i * n + j); j += 1 }
-        i += 1
-      }
+    val z = zscore(rows)
+    val n = z.length
+    val m = SymMatrix.zeros(n)
+    par.parFor(numBlocks(n)) { b =>
+      upperBlock(z, b, m.data, 0)
+      mirrorBlock(m.data, n, b)
     }
     m
   }
 
-  /** Adds positions k0 until k1 of the pairs (i..i+1) x (j..j+3) to their
-    * cells (i, j..j+3) and (i+1, j..j+3) of `a`, one accumulator per pair.
+  /** Writes the upper-triangle cells (i, j), j > i, of block b's rows i
+    * of the correlation matrix of the z-scored rows `z` (n = z.length),
+    * storing cell (i, j) at `a(i*n + j - off)`. Those cells of `a` must
+    * hold 0.0 on entry. Blocks write disjoint cells.
+    *
+    * Each entry is the dot product of two z-scored rows, summed into one
+    * accumulator from 0.0 in position order with plain multiply and add
+    * (no FMA, no split sums), so every value is bit-identical to the
+    * one-pair-at-a-time loop. The speed comes from computing a 2 x 4 tile
+    * of pairs per step (8 independent sums, 6 loads) and walking the
+    * series in `KChunk` chunks. The block keeps its partial sums in its
+    * output cells between chunks (storing and reloading a double is exact).
     */
-  private def tile(z: Array[Array[Double]], a: Array[Double], n: Int, i: Int, j: Int,
+  def upperBlock(z: Array[Array[Double]], b: Int, a: Array[Double], off: Int): Unit = {
+    val n   = z.length
+    val len = if (n == 0) 0 else z(0).length
+    val (i0, i1) = blockRows(n, b)
+    var k0 = 0
+    while (k0 < len) {
+      val k1 = math.min(len, k0 + KChunk)
+      // pairs within the block: rows i, i+1 against the rows after them
+      // (an odd last row has none)
+      var i = i0
+      while (i + 1 < i1) {
+        dot(z, a, n, off, i, i + 1, k0, k1)
+        var j = i + 2
+        while (j + 4 <= i1) { tile(z, a, n, off, i, j, k0, k1); j += 4 }
+        while (j < i1) { dot(z, a, n, off, i, j, k0, k1); dot(z, a, n, off, i + 1, j, k0, k1); j += 1 }
+        i += 2
+      }
+      // the block against every later row: each 4-row tile of later
+      // rows stays in L1 while the block's row pairs pass over it. A
+      // block with later rows has RowBlock rows, an even number.
+      var j = i1
+      while (j + 4 <= n) {
+        i = i0
+        while (i < i1) { tile(z, a, n, off, i, j, k0, k1); i += 2 }
+        j += 4
+      }
+      i = i0
+      while (i < i1) { var c = j; while (c < n) { dot(z, a, n, off, i, c, k0, k1); c += 1 }; i += 1 }
+      k0 = k1
+    }
+  }
+
+  /** Writes the unit diagonal and mirrors the upper-triangle cells of
+    * block b's rows into the lower triangle of the n x n matrix `a`.
+    */
+  def mirrorBlock(a: Array[Double], n: Int, b: Int): Unit = {
+    val (i0, i1) = blockRows(n, b)
+    var i = i0
+    while (i < i1) {
+      a(i * n + i) = 1.0
+      var j = i + 1
+      while (j < n) { a(j * n + i) = a(i * n + j); j += 1 }
+      i += 1
+    }
+  }
+
+  /** Adds positions k0 until k1 of the pairs (i..i+1) x (j..j+3) to their
+    * cells (i, j..j+3) and (i+1, j..j+3), stored at `a(i*n + j - off)`,
+    * one accumulator per pair.
+    */
+  private def tile(z: Array[Array[Double]], a: Array[Double], n: Int, off: Int, i: Int, j: Int,
                    k0: Int, k1: Int): Unit = {
     val x0 = z(i); val x1 = z(i + 1)
     val y0 = z(j); val y1 = z(j + 1); val y2 = z(j + 2); val y3 = z(j + 3)
-    val r0 = i * n + j
+    val r0 = i * n + j - off
     val r1 = r0 + n
     var s00 = a(r0); var s01 = a(r0 + 1); var s02 = a(r0 + 2); var s03 = a(r0 + 3)
     var s10 = a(r1); var s11 = a(r1 + 1); var s12 = a(r1 + 2); var s13 = a(r1 + 3)
@@ -128,14 +150,15 @@ object Correlation {
     a(r1) = s10; a(r1 + 1) = s11; a(r1 + 2) = s12; a(r1 + 3) = s13
   }
 
-  /** Adds positions k0 until k1 of the pair (i, j) to cell (i, j) of `a`. */
-  private def dot(z: Array[Array[Double]], a: Array[Double], n: Int, i: Int, j: Int,
+  /** Adds positions k0 until k1 of the pair (i, j) to its cell at `a(i*n + j - off)`. */
+  private def dot(z: Array[Array[Double]], a: Array[Double], n: Int, off: Int, i: Int, j: Int,
                   k0: Int, k1: Int): Unit = {
     val x = z(i); val y = z(j)
-    var s = a(i * n + j)
+    val r = i * n + j - off
+    var s = a(r)
     var k = k0
     while (k < k1) { s += x(k) * y(k); k += 1 }
-    a(i * n + j) = s
+    a(r) = s
   }
 
   /** Dissimilarity d = sqrt(2(1-p)) from a correlation (similarity) matrix. */

@@ -154,6 +154,9 @@ object Tmfg {
     (bv, bg)
   }
 
+  /** Fails unless a TMFG over n vertices exists (n >= 4). */
+  def checkN(n: Int): Unit = require(n >= 4, s"TMFG needs at least 4 vertices, got $n")
+
   def build(s: SymMatrix, prefix: Int, par: Par): TmfgResult =
     grow(s, prefix, par) { (tris, rem, remCount) =>
       // a rescan costs O(remCount); only fan out when the batch carries
@@ -174,7 +177,7 @@ object Tmfg {
   def grow(s: SymMatrix, prefix: Int, par: Par)
           (scan: (Array[Int], Array[Int], Int) => Array[(Int, Double)]): TmfgResult = {
     val n = s.n
-    require(n >= 4, s"TMFG needs at least 4 vertices, got $n")
+    checkN(n)
     require(prefix >= 1, s"prefix must be >= 1, got $prefix")
 
     // --- seed: the four vertices with largest row sums in S ---

@@ -1,33 +1,40 @@
 package repro.spark
 
-import org.apache.spark.mllib.linalg.Vectors
-import org.apache.spark.mllib.linalg.distributed.RowMatrix
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import repro.core.{Correlation, SymMatrix}
 
 /** Distributed Pearson-correlation matrix.
   *
-  * The n series (rows of the dataset) are z-scored on the driver, then
-  * laid out as the *columns* of an L x n RowMatrix whose Gramian
-  * Z^T Z — computed by Spark's distributed tree aggregation over the L
-  * time points — is exactly the n x n correlation matrix. This is the
-  * dataflow version of `repro.core.Correlation.pearson`.
+  * The n series (rows of the dataset) are z-scored on the driver and
+  * shipped once as a broadcast. The kernel's row blocks fan out over an
+  * RDD: each task runs `Correlation.upperBlock` for one block into its
+  * own strip of rows, and the driver copies the strips into the matrix
+  * and mirrors them with `Correlation.mirrorBlock`. Both paths run the
+  * same kernel, so the matrix is bit-identical to
+  * `repro.core.Correlation.pearson`.
   */
 object SparkCorrelation {
 
   def pearson(spark: SparkSession, rows: Array[Array[Double]]): SymMatrix = {
-    val n = rows.length
-    val z = Correlation.zscore(rows)
-    val len = z(0).length
-    // time point t -> vector of the n series' values at t
-    val timePoints = spark.sparkContext
-      .parallelize(0 until len, math.min(64, len))
-      .map(t => Vectors.dense(Array.tabulate(n)(i => z(i)(t))))
-    val gram = new RowMatrix(timePoints, len.toLong, n).computeGramianMatrix()
-    val m = SymMatrix.zeros(n)
-    for (i <- 0 until n; j <- 0 until n) m.data(i * n + j) = gram(i, j)
-    // exact 1s on the diagonal (z-scored rows have unit norm up to fp error)
-    for (i <- 0 until n) m.data(i * n + i) = 1.0
+    val z  = Correlation.zscore(rows)
+    val n  = z.length
+    val nb = Correlation.numBlocks(n)
+    val sc = spark.sparkContext
+    val bZ = sc.broadcast(z)
+    val m  = SymMatrix.zeros(n)
+    try {
+      sc.parallelize(0 until nb, math.max(1, nb))
+        .map { b =>
+          val (i0, i1) = Correlation.blockRows(n, b)
+          val strip = new Array[Double]((i1 - i0) * n)
+          Correlation.upperBlock(bZ.value, b, strip, i0 * n)
+          (i0, strip)
+        }
+        .collect()
+        .foreach { case (i0, strip) => System.arraycopy(strip, 0, m.data, i0 * n, strip.length) }
+    } finally bZ.destroy()
+    // after every strip is in place: a block mirrors into later rows
+    for (b <- 0 until nb) Correlation.mirrorBlock(m.data, n, b)
     m
   }
 

@@ -4,11 +4,12 @@ import org.apache.spark.sql.SparkSession
 import repro.core._
 import repro.data.TimeSeriesGen.Dataset
 
-/** End-to-end distributed PAR-TDBHT pipeline: RowMatrix correlation ->
+/** End-to-end distributed PAR-TDBHT pipeline: RDD correlation blocks ->
   * RDD TMFG -> RDD APSP -> driver assignments (O(n) state) -> RDD
   * fan-out of the per-group complete-linkage plans -> dendrogram.
   *
-  * Produces the same dendrogram as the thread-pool kernel pipeline
+  * Every stage runs the kernel's own functions, so the dendrogram is
+  * bit-identical to the thread-pool kernel pipeline's
   * (`repro.harness.Methods.parTdbht`); the kernel carries the runtime
   * experiments, this job demonstrates the distributed-dataflow
   * formulation (see DESIGN.md "Extension-point note").
@@ -38,10 +39,11 @@ object SparkPipeline {
   }
 
   /** Full pipeline from raw series to flat clusters (cut at k; a k
-    * outside 1..n fails before any stage runs).
+    * outside 1..n or fewer than 4 series fail before any stage runs).
     */
   def run(spark: SparkSession, ds: Dataset, prefix: Int, k: Int): PipelineResult = {
     Dendrogram.checkK(k, ds.n)
+    Tmfg.checkN(ds.n)
     val s = SparkCorrelation.pearson(spark, ds.data)
     val d = Correlation.dissimilarity(s)
     val res  = SparkTmfg.build(spark, s, prefix)

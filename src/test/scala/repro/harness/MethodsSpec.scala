@@ -101,6 +101,13 @@ class MethodsSpec extends AnyFunSuite {
     rejectsK(6)(k => repro.spark.SparkPipeline.run(null, six, prefix = 1, k))
   }
 
+  test("SparkPipeline.run rejects fewer than 4 series before any stage") {
+    // no SparkSession: any stage would fail on it
+    val three = TimeSeriesGen.make("n-range", 3, 8, 2, noise = 0.5, seed = 3)
+    val msg = intercept[IllegalArgumentException](repro.spark.SparkPipeline.run(null, three, prefix = 1, k = 2)).getMessage
+    assert(msg == "requirement failed: TMFG needs at least 4 vertices, got 3", msg)
+  }
+
   test("COMP and AVG baselines run and produce k clusters") {
     for (m <- Seq[Linkage.Method](Linkage.Complete, Linkage.Average)) {
       val r = Methods.hacBaseline(d, k = 4, m)

@@ -23,6 +23,18 @@ class SparkCorrelationSpec extends SparkSpec {
     assert(sparkM.data.zip(kernelM.data).forall { case (a, b) => math.abs(a - b) < 1e-9 })
   }
 
+  test("block-shaped spark correlation is bit-identical to the kernel pearson") {
+    // n: one partial block, a full one, one row over (an odd last block),
+    // and two full blocks plus one row; L = 513 crosses a 512-position chunk
+    val rng = new Random(4)
+    for (n <- Seq(4, 31, 32, 33, 65); len <- Seq(40, 513)) {
+      val rows    = Array.fill(n)(Array.fill(len)(rng.nextGaussian()))
+      val sparkM  = SparkCorrelation.pearson(spark, rows)
+      val kernelM = Par.withThreads(4)(par => Correlation.pearson(rows, par))
+      assert(sparkM.data.sameElements(kernelM.data), s"n=$n L=$len")
+    }
+  }
+
   test("correlation values agree with DuckDB's corr() aggregate (oracle)") {
     val rng = new Random(3)
     val rows = Array.fill(5)(Array.fill(30)(rng.nextGaussian()))
