@@ -1,120 +1,167 @@
 package repro.core
 
 /** All-pairs shortest paths on the (sparse, planar) TMFG under the
-  * dissimilarity measure D, computed as n parallel Dijkstra runs
-  * (paper Algorithm 4, Line 7). This is the asymptotic bottleneck of the
-  * parallel DBHT (paper §VI), which the runtime-decomposition bench (T3)
-  * reproduces.
+  * dissimilarity measure D, computed as one single-source run from every
+  * source in parallel (paper Algorithm 4, Line 7). This is the asymptotic
+  * bottleneck of the parallel DBHT (paper §VI), which the
+  * runtime-decomposition bench (T3) reproduces.
+  *
+  * Every source runs one kernel, `row`: a bucket queue (Dial 1969) of
+  * width Δ over the graph's flat edge arrays (`Edges`), label-correcting
+  * inside a bucket like the Δ-stepping of Meyer & Sanders (J. Algorithms
+  * 2003). Its distances are bit-identical to Dijkstra's: `fl(a + w)` is
+  * monotone in `a`, so every correct label-setting or label-correcting
+  * SSSP ends with each vertex at the same value, the minimum over all
+  * walks of the walk's weights summed in order from the source. The
+  * order of the scans inside a bucket, re-scans and edges lighter than Δ
+  * cannot change a bit.
   */
 object Apsp {
 
-  /** Lazy-deletion binary min-heap of (dist, vertex) pairs on primitive
-    * arrays — Dijkstra's inner loop allocates nothing.
+  /** Sources per block of `allPairs`; each block allocates one `Workspace`. */
+  private val Block = 16
+
+  /** The edges of a graph under D as flat arrays: vertex u's neighbours
+    * are `nbr(off(u) until off(u + 1))`, and `w(k) = d(u, nbr(k))`. O(n)
+    * for the planar TMFG, which is why Spark broadcasts it.
+    *
+    * `delta` is the bucket width Δ = max(w_min, w_max / 64), or 1 when
+    * every weight is 0. A scan pushes a vertex at most ⌊w_max/Δ⌋ + 1
+    * buckets (+1 for rounding) past the current one, so a ring of
+    * `ring` = ⌊w_max/Δ⌋ + 3 buckets (at most 67) holds every live entry.
     */
-  private final class Heap(capacity: Int) {
-    private val hd = new Array[Double](capacity)
-    private val hv = new Array[Int](capacity)
-    var size = 0
+  final class Edges private[Apsp] (val n: Int, val off: Array[Int], val nbr: Array[Int],
+                                   val w: Array[Double], val delta: Double, val ring: Int)
+      extends Serializable
 
-    def push(d: Double, v: Int): Unit = {
-      var i = size; size += 1
-      hd(i) = d; hv(i) = v
-      var cont = i > 0
-      while (cont) {
-        val p = (i - 1) >> 1
-        if (hd(p) <= hd(i)) cont = false
-        else {
-          val td = hd(p); hd(p) = hd(i); hd(i) = td
-          val tv = hv(p); hv(p) = hv(i); hv(i) = tv
-          i = p
-          cont = i > 0
-        }
+  /** The edges of `g` under `d`. The bucket arithmetic needs finite,
+    * non-negative weights, so a NaN, infinite or negative `d(u, v)` on an
+    * edge fails here, naming the edge and the value, before any source runs.
+    */
+  def edges(g: WGraph, d: SymMatrix): Edges = {
+    val n   = g.n
+    val off = new Array[Int](n + 1)
+    var u = 0
+    while (u < n) { off(u + 1) = off(u) + g.adj(u).length; u += 1 }
+    val nbr = new Array[Int](off(n))
+    val w   = new Array[Double](off(n))
+    var wMin = Double.PositiveInfinity
+    var wMax = 0.0
+    u = 0
+    while (u < n) {
+      val a = g.adj(u)
+      var k = 0
+      while (k < a.length) {
+        val x = d(u, a(k))
+        require(x >= 0.0 && x < Double.PositiveInfinity,
+          s"edge ($u, ${a(k)}) has dissimilarity $x: APSP needs finite, non-negative edge weights")
+        nbr(off(u) + k) = a(k)
+        w(off(u) + k) = x
+        wMin = math.min(wMin, x)
+        wMax = math.max(wMax, x)
+        k += 1
       }
+      u += 1
     }
+    val delta = if (wMax == 0.0) 1.0 else math.max(wMin, wMax / 64)
+    new Edges(n, off, nbr, w, delta, (wMax / delta).toInt + 3)
+  }
 
-    def popVertex(): Int = {
-      val v = hv(0)
-      size -= 1
-      if (size > 0) {
-        hd(0) = hd(size); hv(0) = hv(size)
-        var i = 0
-        var cont = true
-        while (cont) {
-          val l = 2 * i + 1
-          val r = l + 1
-          var m = i
-          if (l < size && hd(l) < hd(m)) m = l
-          if (r < size && hd(r) < hd(m)) m = r
-          if (m == i) cont = false
-          else {
-            val td = hd(m); hd(m) = hd(i); hd(i) = td
-            val tv = hv(m); hv(m) = hv(i); hv(i) = tv
-            i = m
-          }
-        }
-      }
-      v
+  /** Per-worker working arrays for `row`, reused across sources: the
+    * ring of buckets (growable stacks of vertices), their sizes, and the
+    * distance each vertex was last scanned at.
+    */
+  final class Workspace(e: Edges) {
+    private[Apsp] val bucket    = Array.fill(e.ring)(new Array[Int](16))
+    private[Apsp] val size      = new Array[Int](e.ring)
+    private[Apsp] val scannedAt = new Array[Double](e.n)
+
+    private[Apsp] def push(slot: Int, v: Int): Unit = {
+      val s = size(slot)
+      if (s == bucket(slot).length) bucket(slot) = java.util.Arrays.copyOf(bucket(slot), 2 * s)
+      bucket(slot)(s) = v
+      size(slot) = s + 1
     }
   }
 
-  /** The edge weights of `g` under `d`, parallel to `g.adj`:
-    * `w(u)(k) = d(u, g.adj(u)(k))`. O(n) for the planar TMFG.
+  /** Shortest-path distances from `src` over `e`, written straight into
+    * `out(base until base + e.n)` (+∞ where unreachable). `work` is the
+    * caller's workspace, one per worker. Returns the number of vertex scans.
+    *
+    * A popped vertex is scanned only if its distance is still in the
+    * current bucket and differs from the one it was last scanned at;
+    * entries left behind by a later decrease are skipped. An entry whose
+    * distance lies above the current bucket means the ring was too small,
+    * and fails rather than being dropped.
     */
-  def edgeWeights(g: WGraph, d: SymMatrix): Array[Array[Double]] =
-    Array.tabulate(g.n)(u => g.adj(u).map(v => d(u, v)))
-
-  /** Single-source Dijkstra over `g` with edge weights `d(u,v)`.
-    * Returns the distance array (Double.PositiveInfinity if unreachable).
-    */
-  def dijkstra(g: WGraph, d: SymMatrix, source: Int): Array[Double] =
-    dijkstra(g.adj, edgeWeights(g, d), source)
-
-  /** Single-source Dijkstra over the adjacency arrays `adj` with the edge
-    * weights `w` parallel to them (see `edgeWeights`). Returns the
-    * distance array (Double.PositiveInfinity if unreachable).
-    */
-  def dijkstra(adj: Array[Array[Int]], w: Array[Array[Double]], source: Int): Array[Double] = {
-    val n    = adj.length
-    val dist = Array.fill(n)(Double.PositiveInfinity)
-    val done = new Array[Boolean](n)
-    // each vertex is pushed at most deg(v) times => capacity 2m + n + 1
-    var twoM = 0
-    var i = 0
-    while (i < n) { twoM += adj(i).length; i += 1 }
-    val heap = new Heap(twoM + n + 1)
-    dist(source) = 0.0
-    heap.push(0.0, source)
-    while (heap.size > 0) {
-      val u = heap.popVertex()
-      if (!done(u)) {
-        done(u) = true
-        val a  = adj(u)
-        val wu = w(u)
-        val du = dist(u)
-        var k = 0
-        while (k < a.length) {
-          val v = a(k)
-          if (!done(v)) {
-            val nd = du + wu(k)
-            if (nd < dist(v)) { dist(v) = nd; heap.push(nd, v) }
+  def row(e: Edges, src: Int, out: Array[Double], base: Int, work: Workspace): Int = {
+    val off = e.off; val nbr = e.nbr; val w = e.w
+    val delta = e.delta; val ring = e.ring
+    val bucket = work.bucket; val size = work.size; val scannedAt = work.scannedAt
+    java.util.Arrays.fill(out, base, base + e.n, Double.PositiveInfinity)
+    java.util.Arrays.fill(scannedAt, -1.0)
+    java.util.Arrays.fill(size, 0)
+    out(base + src) = 0.0
+    work.push(0, src)
+    var live  = 1
+    var cur   = 0
+    var scans = 0
+    while (live > 0) {
+      val slot = cur % ring
+      while (size(slot) > 0) {
+        size(slot) -= 1
+        live -= 1
+        val v  = bucket(slot)(size(slot))
+        val dv = out(base + v)
+        val b  = (dv / delta).toInt
+        if (b > cur)
+          throw new IllegalStateException(
+            s"bucket ring of $ring is too small: vertex $v at distance $dv (bucket $b) popped at bucket $cur")
+        if (b == cur && dv != scannedAt(v)) {
+          scannedAt(v) = dv
+          scans += 1
+          var k = off(v)
+          val end = off(v + 1)
+          while (k < end) {
+            val x  = nbr(k)
+            val nd = dv + w(k)
+            if (nd < out(base + x)) {
+              out(base + x) = nd
+              work.push((nd / delta).toInt % ring, x)
+              live += 1
+            }
+            k += 1
           }
-          k += 1
         }
       }
+      cur += 1
     }
-    dist
+    scans
   }
 
-  /** Full APSP matrix: Dijkstra from every source, parallel over sources.
-    * The edge weights are read out of `d` once, before the sources run.
+  /** Single-source shortest-path distances over `g` with edge weights
+    * `d(u,v)` (Double.PositiveInfinity if unreachable), from `row`.
+    */
+  def dijkstra(g: WGraph, d: SymMatrix, source: Int): Array[Double] = {
+    val e   = edges(g, d)
+    val out = new Array[Double](g.n)
+    row(e, source, out, 0, new Workspace(e))
+    out
+  }
+
+  /** Full APSP matrix, parallel over blocks of `Block` sources. Row u holds
+    * the distances summed along paths from u, so the matrix is symmetric
+    * only up to rounding: a consumer reads `apsp(u, v)` from u's row.
     */
   def allPairs(g: WGraph, d: SymMatrix, par: Par): SymMatrix = {
     val n   = g.n
-    val w   = edgeWeights(g, d)
+    val e   = edges(g, d)
     val out = SymMatrix.zeros(n)
-    par.parFor(n) { src =>
-      val row = dijkstra(g.adj, w, src)
-      System.arraycopy(row, 0, out.data, src * n, n)
+    par.parFor((n + Block - 1) / Block) { b =>
+      val work = new Workspace(e)
+      var src = b * Block
+      val end = math.min(n, src + Block)
+      while (src < end) { row(e, src, out.data, src * n, work); src += 1 }
     }
     out
   }

@@ -3,7 +3,7 @@ package repro.core
 /** Dense symmetric n x n matrix over doubles, stored as a flat row-major
   * array (full square, not triangular — the O(n^2) memory is the point of
   * the paper's input, and full rows give cache-friendly scans in the gain
-  * computations and Dijkstra).
+  * computations).
   */
 final class SymMatrix private (val n: Int, val data: Array[Double]) extends Serializable {
 

@@ -76,4 +76,102 @@ class ApspSpec extends AnyFunSuite {
     val a8 = Par.withThreads(8)(par => Apsp.allPairs(g, d, par))
     assert(a1.data.sameElements(a8.data))
   }
+
+  /** `allPairs` at 1 and 4 threads equals the reference Dijkstra's rows
+    * bit for bit, and so does the single-source `dijkstra`.
+    */
+  private def assertBitExact(g: WGraph, d: SymMatrix, what: String): Unit = {
+    val ref = TestUtils.dijkstraRows(g, d)
+    val flat = Array.concat(ref: _*)
+    for (threads <- Seq(1, 4)) {
+      val apsp = Par.withThreads(threads)(par => Apsp.allPairs(g, d, par))
+      assert(apsp.data.sameElements(flat), s"$what, $threads threads")
+    }
+    for (src <- Seq(0, g.n / 2, g.n - 1))
+      assert(Apsp.dijkstra(g, d, src).sameElements(ref(src)), s"$what, dijkstra from $src")
+  }
+
+  test("bit-identical to the reference Dijkstra on random TMFGs") {
+    for (seed <- 1L to 3L; prefix <- Seq(1, 5)) {
+      val (g, d) = TestUtils.tmfgWithD(TestUtils.randomSim(60, seed), prefix)
+      assertBitExact(g, d, s"seed $seed prefix $prefix")
+    }
+  }
+
+  test("bit-identical on quantised similarities (zero weights and exact ties)") {
+    for (seed <- 1L to 3L) {
+      val (g, d) = TestUtils.tmfgWithD(TestUtils.quantisedSim(60, seed), 3)
+      assert(g.edges.exists { case (u, v) => d(u, v) == 0.0 }, "input has a zero-weight edge")
+      assertBitExact(g, d, s"seed $seed")
+    }
+  }
+
+  test("bit-identical on series with duplicated rows and on 1e-9-perturbed copies") {
+    val rng = new scala.util.Random(5)
+    val inputs = Seq(
+      "duplicated rows"   -> TestUtils.tmfgOfCopies(20, 21)(identity),
+      "perturbed by 1e-9" -> TestUtils.tmfgOfCopies(20, 22)(x => x + 1e-9 * rng.nextGaussian()))
+    for ((what, (g, d)) <- inputs) {
+      val e = Apsp.edges(g, d)
+      assert(e.w.exists(_ < e.delta), s"$what: input has an edge lighter than the bucket width")
+      assertBitExact(g, d, what)
+    }
+  }
+
+  test("bit-identical on a 300-vertex path whose distances wrap the bucket ring many times") {
+    val n = 300
+    val g = WGraph.fromEdges(n, (0 until n - 1).map(i => (i, i + 1)))
+    val d = SymMatrix.zeros(n)
+    for (i <- 0 until n - 1) d.update(i, i + 1, if (i % 2 == 0) 1.0 else 64.0)
+    val e = Apsp.edges(g, d)
+    assert(Apsp.dijkstra(g, d, 0)(n - 1) / e.delta > 100 * e.ring)
+    assertBitExact(g, d, "path")
+  }
+
+  test("bit-identical on a disconnected graph with an isolated vertex") {
+    val (g1, d1) = TestUtils.tmfgWithD(TestUtils.randomSim(30, 8), 2)
+    val (g2, d2) = TestUtils.tmfgWithD(TestUtils.randomSim(25, 9), 1)
+    val n = 30 + 25 + 1
+    val g = WGraph.fromEdges(n, g1.edges ++ g2.edges.map { case (u, v) => (u + 30, v + 30) })
+    val d = SymMatrix.zeros(n)
+    for ((u, v) <- g1.edges) d.update(u, v, d1(u, v))
+    for ((u, v) <- g2.edges) d.update(u + 30, v + 30, d2(u, v))
+    val apsp = Par.withThreads(4)(par => Apsp.allPairs(g, d, par))
+    assert(apsp(0, 30).isPosInfinity && apsp(30, 0).isPosInfinity && apsp(0, n - 1).isPosInfinity)
+    assertBitExact(g, d, "disconnected")
+  }
+
+  test("each reachable vertex is scanned once per source when no edge is lighter than the bucket width") {
+    // weights 1 + k/4 <= 16 are exact in binary, so Δ = w_min = 1 and every
+    // sum and bucket index is exact: a vertex's distance cannot fall after
+    // its scan, and only a repeated entry could scan it again
+    val (g, _) = TestUtils.tmfgWithD(TestUtils.randomSim(80, 10), 2)
+    val rng = new scala.util.Random(10)
+    val d = SymMatrix.zeros(g.n)
+    for ((u, v) <- g.edges) d.update(u, v, 1.0 + rng.nextInt(61) / 4.0)
+    d.update(g.edges.head._1, g.edges.head._2, 1.0)
+    val e = Apsp.edges(g, d)
+    assert(e.delta == 1.0)
+    val work = new Apsp.Workspace(e)
+    val out = new Array[Double](g.n)
+    for (src <- 0 until g.n) assert(Apsp.row(e, src, out, 0, work) == g.n, s"source $src")
+  }
+
+  for ((what, bad) <- Seq("NaN" -> Double.NaN, "Infinity" -> Double.PositiveInfinity, "-0.5" -> -0.5))
+    test(s"an edge weight of $what is rejected before any source runs, naming the edge") {
+      val (g, d) = TestUtils.tmfgWithD(TestUtils.randomSim(20, 11), 1)
+      val (u, v) = g.edges(7)
+      d.update(u, v, bad)
+      val err = intercept[IllegalArgumentException](Par.withThreads(2)(par => Apsp.allPairs(g, d, par)))
+      assert(err.getMessage.contains(s"edge ($u, $v) has dissimilarity $what"), err.getMessage)
+      assert(intercept[IllegalArgumentException](Apsp.dijkstra(g, d, 0)).getMessage == err.getMessage)
+    }
+
+  test("all-zero weights: 0 within a component, +inf across components") {
+    val g = WGraph.fromEdges(7, Seq((0, 1), (1, 2), (2, 0), (3, 4), (4, 5)))
+    val apsp = Par.withThreads(2)(par => Apsp.allPairs(g, SymMatrix.zeros(7), par))
+    val comp = Array(0, 0, 0, 1, 1, 1, 2)
+    for (u <- 0 until 7; v <- 0 until 7)
+      assert(apsp(u, v) == (if (comp(u) == comp(v)) 0.0 else Double.PositiveInfinity), s"($u, $v)")
+  }
 }

@@ -24,4 +24,14 @@ class SparkApspSpec extends SparkSpec {
       for (j <- 0 until 20) assert(math.abs(apsp(i, j) - apsp(j, i)) < 1e-12)
     }
   }
+
+  test("RDD APSP equals the kernel on duplicated rows and quantised similarities") {
+    val inputs = Seq(
+      "duplicated rows"        -> TestUtils.tmfgOfCopies(20, 21)(identity),
+      "quantised similarities" -> TestUtils.tmfgWithD(TestUtils.quantisedSim(60, 1), 3))
+    for ((what, (g, d)) <- inputs) {
+      val kernel = Par.withThreads(4)(par => Apsp.allPairs(g, d, par))
+      assert(SparkApsp.allPairs(spark, g, d).data.sameElements(kernel.data), what)
+    }
+  }
 }
