@@ -113,16 +113,22 @@ object Correlation {
   }
 
   /** Writes the unit diagonal and mirrors the upper-triangle cells of
-    * block b's rows into the lower triangle of the n x n matrix `a`.
+    * block b's rows into the lower triangle of the n x n matrix `a`. The
+    * mirror of block b is columns i0 until i1 of the rows below i0; it is
+    * written one row segment at a time, reading the block's rows down
+    * column j.
     */
   def mirrorBlock(a: Array[Double], n: Int, b: Int): Unit = {
     val (i0, i1) = blockRows(n, b)
     var i = i0
-    while (i < i1) {
-      a(i * n + i) = 1.0
-      var j = i + 1
-      while (j < n) { a(j * n + i) = a(i * n + j); j += 1 }
-      i += 1
+    while (i < i1) { a(i * n + i) = 1.0; i += 1 }
+    var j = i0 + 1
+    while (j < n) {
+      val r = j * n
+      val end = math.min(i1, j)
+      i = i0
+      while (i < end) { a(r + i) = a(i * n + j); i += 1 }
+      j += 1
     }
   }
 
@@ -161,17 +167,25 @@ object Correlation {
     a(r) = s
   }
 
-  /** Dissimilarity d = sqrt(2(1-p)) from a correlation (similarity) matrix. */
-  def dissimilarity(s: SymMatrix): SymMatrix = {
-    val d = SymMatrix.zeros(s.n)
-    var i = 0
-    while (i < s.n) {
+  /** Dissimilarity d = sqrt(2(1-p)) from a correlation (similarity)
+    * matrix, on one thread.
+    */
+  def dissimilarity(s: SymMatrix): SymMatrix = Par.withThreads(1)(dissimilarity(s, _))
+
+  /** Dissimilarity d = sqrt(2(1-p)) from a correlation (similarity)
+    * matrix, parallel over rows via `par`. Each cell is computed on its
+    * own, so the result does not depend on the thread count.
+    */
+  def dissimilarity(s: SymMatrix, par: Par): SymMatrix = {
+    val n = s.n
+    val d = SymMatrix.zeros(n)
+    par.parFor(n) { i =>
+      val r = i * n
       var j = 0
-      while (j < s.n) {
-        if (i != j) d.data(i * s.n + j) = math.sqrt(math.max(0.0, 2.0 * (1.0 - s(i, j))))
+      while (j < n) {
+        if (i != j) d.data(r + j) = math.sqrt(math.max(0.0, 2.0 * (1.0 - s.data(r + j))))
         j += 1
       }
-      i += 1
     }
     d
   }

@@ -25,13 +25,21 @@ final case class TmfgResult(graph: WGraph, tree: BubbleTree, rounds: Int,
   * The GAINS table is maintained incrementally: each face caches its best
   * remaining vertex, and each vertex keeps a reverse index of the faces
   * it is currently best for (the paper's optimization over rescanning all
-  * faces). After a round, only the three new faces per insertion and the
-  * faces whose cached best vertex was just inserted are rescanned.
+  * faces). A scan of a face keeps its first `K` remaining vertices in
+  * (gain desc, vertex asc) order, its candidate list. When a face's best
+  * vertex is inserted, its new best is the first listed vertex that still
+  * remains: a face's gains never change and the remaining set only
+  * shrinks, so every unlisted remaining vertex still comes after every
+  * listed one (the stopping rule of Fagin, Lotem and Naor's threshold
+  * algorithm). Only a face whose K listed vertices are all inserted is
+  * rescanned; a shorter list held every remaining vertex, so when it runs
+  * out no vertex remains. After a round, the faces rescanned are the
+  * three new faces per insertion and the stale faces whose lists ran out.
   *
   * One round engine, `grow`, owns all of this state. The rescans are the
-  * dominant work and the only pluggable part: `grow` hands the stale
-  * faces to a gain scan that evaluates `bestVertex` for each of them.
-  * `build` scans in parallel over faces on a `Par`;
+  * dominant work and the only pluggable part: `grow` hands the faces to
+  * rescan to a scan that evaluates `candidates` for each of them.
+  * `build` scans in parallel over faces on a `Par` (`scanFaces`);
   * `repro.spark.SparkTmfg` scans with an RDD job.
   */
 object Tmfg {
@@ -133,49 +141,87 @@ object Tmfg {
     picks
   }
 
-  /** One GAINS entry of Algorithm 1: the remaining vertex of
-    * `rem(0 until remCount)` with the largest gain to the face (a, b, c),
-    * ties to the smaller vertex, and that gain; (-1, -inf) when no vertex
-    * remains. `sd` is the row-major n x n similarity matrix. The result
-    * does not depend on the order of `rem`.
+  /** Length of a full candidate list. */
+  final val K = 16
+
+  /** A face's candidate list: remaining vertices and their gains to the
+    * face, at most `K`, in (gain desc, vertex asc) order. A list shorter
+    * than `K` holds every vertex that remained when it was made.
     */
-  def bestVertex(sd: Array[Double], n: Int, a: Int, b: Int, c: Int,
-                 rem: Array[Int], remCount: Int): (Int, Double) = {
+  final case class Candidates(verts: Array[Int], gains: Array[Double])
+
+  /** The scan kernel of Algorithm 1's GAINS updates: the first `K`
+    * vertices of `rem(0 until remCount)` in the order (gain to the face
+    * (a, b, c) desc, vertex asc). `sd` is the row-major n x n similarity
+    * matrix. The result does not depend on the order of `rem`; a vertex
+    * whose gain is not above -inf is never listed.
+    */
+  def candidates(sd: Array[Double], n: Int, a: Int, b: Int, c: Int,
+                 rem: Array[Int], remCount: Int): Candidates = {
     val r0 = a * n; val r1 = b * n; val r2 = c * n
-    var bv = -1
-    var bg = Double.NegativeInfinity
+    val vs = new Array[Int](K)
+    val gs = new Array[Double](K)
+    var len = 0
+    // a vertex enters if it comes before (lastG, lastV): the last entry
+    // of a full list, and (-inf, -1) until the list is full
+    var lastG = Double.NegativeInfinity
+    var lastV = -1
     var i = 0
     while (i < remCount) {
       val v = rem(i)
       val g = sd(r0 + v) + sd(r1 + v) + sd(r2 + v)
-      if (g > bg || (g == bg && v < bv)) { bg = g; bv = v }
+      if (g > lastG || (g == lastG && v < lastV)) {
+        var j = if (len < K) { len += 1; len - 1 } else K - 1
+        while (j > 0 && (g > gs(j - 1) || (g == gs(j - 1) && v < vs(j - 1)))) {
+          vs(j) = vs(j - 1); gs(j) = gs(j - 1)
+          j -= 1
+        }
+        vs(j) = v; gs(j) = g
+        if (len == K) { lastG = gs(K - 1); lastV = vs(K - 1) }
+      }
       i += 1
     }
-    (bv, bg)
+    if (len == K) Candidates(vs, gs) else Candidates(vs.take(len), gs.take(len))
+  }
+
+  /** One GAINS entry of Algorithm 1: the head of the face's candidate
+    * list, the remaining vertex with the largest gain to the face (a, b,
+    * c), ties to the smaller vertex, and that gain; (-1, -inf) when no
+    * vertex remains.
+    */
+  def bestVertex(sd: Array[Double], n: Int, a: Int, b: Int, c: Int,
+                 rem: Array[Int], remCount: Int): (Int, Double) = {
+    val l = candidates(sd, n, a, b, c, rem, remCount)
+    if (l.verts.isEmpty) (-1, Double.NegativeInfinity) else (l.verts(0), l.gains(0))
   }
 
   /** Fails unless a TMFG over n vertices exists (n >= 4). */
   def checkN(n: Int): Unit = require(n >= 4, s"TMFG needs at least 4 vertices, got $n")
 
-  def build(s: SymMatrix, prefix: Int, par: Par): TmfgResult =
-    grow(s, prefix, par) { (tris, rem, remCount) =>
-      // a rescan costs O(remCount); only fan out when the batch carries
-      // enough total work to amortize task submission
-      val grain = math.max(1, 20000 / math.max(1, remCount))
-      par.parMap(tris.length / 3, grain) { i =>
-        bestVertex(s.data, s.n, tris(3 * i), tris(3 * i + 1), tris(3 * i + 2), rem, remCount)
-      }
-    }
+  def build(s: SymMatrix, prefix: Int, par: Par): TmfgResult = grow(s, prefix, par)(scanFaces(s, par))
 
-  /** The round engine of Algorithm 1: seed clique, face tables, batch
-    * selection, insertion and the bubble tree (Algorithm 2). The GAINS
-    * rescans are left to `scan`: given the stale faces'
-    * triangles packed three ints each, and the remaining vertices
-    * `rem(0 until remCount)`, it returns `bestVertex` of every triangle,
-    * in order. `par` only computes the row sums for the seed.
+  /** The scan of `build`: `candidates` of every triangle, in parallel over
+    * the triangles on `par`.
+    */
+  def scanFaces(s: SymMatrix, par: Par)(tris: Array[Int], rem: Array[Int], remCount: Int): Array[Candidates] = {
+    // a rescan costs O(remCount); only fan out when the batch carries
+    // enough total work to amortize task submission
+    val grain = math.max(1, 20000 / math.max(1, remCount))
+    par.parMap(tris.length / 3, grain) { i =>
+      candidates(s.data, s.n, tris(3 * i), tris(3 * i + 1), tris(3 * i + 2), rem, remCount)
+    }
+  }
+
+  /** The round engine of Algorithm 1: seed clique, face tables, candidate
+    * lists, batch selection, insertion and the bubble tree (Algorithm 2).
+    * The GAINS rescans are left to `scan`: given the triangles of the
+    * faces to rescan, packed three ints each, and the remaining vertices
+    * `rem(0 until remCount)` in ascending order, it returns `candidates`
+    * of every triangle, in order. `par` only computes the row sums for
+    * the seed.
     */
   def grow(s: SymMatrix, prefix: Int, par: Par)
-          (scan: (Array[Int], Array[Int], Int) => Array[(Int, Double)]): TmfgResult = {
+          (scan: (Array[Int], Array[Int], Int) => Array[Candidates]): TmfgResult = {
     val n = s.n
     checkN(n)
     require(prefix >= 1, s"prefix must be >= 1, got $prefix")
@@ -190,19 +236,11 @@ object Tmfg {
     val edges = new ArrayBuffer[(Int, Int)](3 * n)
     for (i <- 0 until 4; j <- i + 1 until 4) edges += ((seed(i), seed(j)))
 
-    // remaining vertices with swap-removal
-    val vlist = (0 until n).filterNot(seed.contains).toArray
-    val vpos  = Array.fill(n)(-1)
-    for (i <- vlist.indices) vpos(vlist(i)) = i
-    var vcount = vlist.length
-
-    def removeVertex(v: Int): Unit = {
-      val p = vpos(v)
-      val last = vlist(vcount - 1)
-      vlist(p) = last; vpos(last) = p
-      vlist(vcount - 1) = v; vpos(v) = -1
-      vcount -= 1
-    }
+    // remaining vertices in ascending order, compacted after each round
+    // so that a scan reads the rows of S in a monotone order
+    val rem = (0 until n).filterNot(seed.contains).toArray
+    var remCount = rem.length
+    val inserted = new Array[Boolean](n)
 
     // --- face tables: 4 seed faces, then each insertion kills one face
     // and adds three, so 3n-8 faces are ever made and 2n-4 are alive at
@@ -216,9 +254,18 @@ object Tmfg {
     var numFaces   = 0
     val alive      = new Array[Int](2 * n - 4)
     var aliveCount = 0
-    // reverse index: faces for which v is the cached best vertex (may
-    // contain stale entries; validated on use)
-    val facesOfBest = Array.fill(n)(new ArrayBuffer[Int](4))
+    // candidate lists: face f's list is candV/candG(K f until K f +
+    // candLen(f)), and its cached best vertex is entry candHead(f)
+    val candV    = new Array[Int](K * maxFaces)
+    val candG    = new Array[Double](K * maxFaces)
+    val candLen  = new Array[Int](maxFaces)
+    val candHead = new Array[Int](maxFaces)
+    // reverse index: the faces whose cached best vertex is v, a list
+    // linked through nextOfBest from firstOfBest(v) and ended by -1. A face
+    // is in the list of its current best vertex only; a killed face stays
+    // in its list and is skipped when the list is walked
+    val firstOfBest = Array.fill(n)(-1)
+    val nextOfBest  = new Array[Int](maxFaces)
 
     val tree = new BubbleTree(n)
     val b0 = tree.addBubble(seed.clone())
@@ -235,6 +282,19 @@ object Tmfg {
       id
     }
 
+    // makes entry h of face f's list its cached best vertex, or leaves the
+    // face without one when h is past the end
+    def setBest(f: Int, h: Int): Unit = {
+      candHead(f) = h
+      if (h < candLen(f)) {
+        val v = candV(K * f + h)
+        bestV(f) = v; bestGain(f) = candG(K * f + h)
+        nextOfBest(f) = firstOfBest(v); firstOfBest(v) = f
+      } else {
+        bestV(f) = -1; bestGain(f) = Double.NegativeInfinity
+      }
+    }
+
     val f0 = addFace(seed(0), seed(1), seed(2), b0)
     addFace(seed(0), seed(1), seed(3), b0)
     addFace(seed(0), seed(2), seed(3), b0)
@@ -242,7 +302,7 @@ object Tmfg {
     var outerFaceId = f0
 
     // faces to rescan: the seed faces, then after each round the new ones
-    // and the faces whose cached best was inserted; all distinct and
+    // and the stale faces whose full lists ran out; all distinct and
     // alive, so at most 2n-4 of them
     val dirty = new Array[Int](2 * n - 4)
     var numDirty = 4
@@ -253,32 +313,34 @@ object Tmfg {
     insertionOrder ++= seed
 
     var rounds = 0
-    while (vcount > 0) {
+    while (remCount > 0) {
       rounds += 1
 
-      // --- GAINS update: rescan the stale faces ---
+      // --- GAINS update: rescan the dirty faces ---
       val tris = new Array[Int](3 * numDirty)
       for (i <- 0 until numDirty) System.arraycopy(faceVerts, 3 * dirty(i), tris, 3 * i, 3)
-      val best = scan(tris, vlist, vcount)
+      val lists = scan(tris, rem, remCount)
       for (i <- 0 until numDirty) {
         val f = dirty(i)
-        val (v, g) = best(i)
-        bestV(f) = v; bestGain(f) = g
-        if (v >= 0) facesOfBest(v) += f
+        val l = lists(i)
+        System.arraycopy(l.verts, 0, candV, K * f, l.verts.length)
+        System.arraycopy(l.gains, 0, candG, K * f, l.gains.length)
+        candLen(f) = l.verts.length
+        setBest(f, 0)
       }
 
       // --- Lines 9-10: pick up to `prefix` vertex-face pairs ---
       val selected = selectBatch(alive, aliveCount, bestV, bestGain, prefix)
       if (selected.isEmpty)
         throw new IllegalStateException(
-          s"round $rounds found no face with a best vertex while $vcount vertices remain")
+          s"round $rounds found no face with a best vertex while $remCount vertices remain")
 
       // --- Lines 11-17: insert the batch ---
       numDirty = 0
       for (f <- selected) {
         val v = bestV(f)
         val t0 = faceVerts(3 * f); val t1 = faceVerts(3 * f + 1); val t2 = faceVerts(3 * f + 2)
-        removeVertex(v)
+        inserted(v) = true
         insertionOrder += v
         edges += ((v, t0)); edges += ((v, t1)); edges += ((v, t2))
 
@@ -302,10 +364,19 @@ object Tmfg {
         numDirty += 3
       }
 
-      // update the alive-face list: drop killed faces, append the new ones
-      // (so far the only entries of `dirty`)
+      // drop the batch from the remaining list, keeping it ascending
       var w = 0
       var i = 0
+      while (i < remCount) {
+        if (!inserted(rem(i))) { rem(w) = rem(i); w += 1 }
+        i += 1
+      }
+      remCount = w
+
+      // update the alive-face list: drop killed faces, append the new ones
+      // (so far the only entries of `dirty`)
+      w = 0
+      i = 0
       while (i < aliveCount) {
         val f = alive(i)
         if (faceAlive(f)) { alive(w) = f; w += 1 }
@@ -314,10 +385,22 @@ object Tmfg {
       System.arraycopy(dirty, 0, alive, w, numDirty)
       aliveCount = w + numDirty
 
+      // stale faces, once the whole batch is in: move to the next listed
+      // vertex that remains; rescan when a full list runs out
       for (f <- selected) {
         val v = bestV(f)
-        for (g <- facesOfBest(v)) if (faceAlive(g) && bestV(g) == v) { dirty(numDirty) = g; numDirty += 1 }
-        facesOfBest(v).clear()
+        var g = firstOfBest(v)
+        firstOfBest(v) = -1
+        while (g >= 0) {
+          val next = nextOfBest(g) // setBest links g into another list
+          if (faceAlive(g)) {
+            var h = candHead(g) + 1
+            while (h < candLen(g) && inserted(candV(K * g + h))) h += 1
+            if (h < candLen(g) || candLen(g) < K) setBest(g, h)
+            else { dirty(numDirty) = g; numDirty += 1 }
+          }
+          g = next
+        }
       }
     }
 

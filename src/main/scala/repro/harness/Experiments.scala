@@ -268,7 +268,7 @@ object Experiments {
     val (p30, p1, table) = Par.withThreads(maxThreads) { par =>
       val emb = repro.cluster.Spectral.embed(ds.data, beta, sectors, par)
       val s = Correlation.pearson(emb, par)
-      val d = Correlation.dissimilarity(s)
+      val d = Correlation.dissimilarity(s, par)
       val r30 = Methods.parTdbht(s, d, 30, sectors, par)
       val r1  = Methods.parTdbht(s, d, 1, sectors, par)
       val a30 = Ari.ari(r30.labels, ds.labels)

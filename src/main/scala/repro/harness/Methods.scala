@@ -31,7 +31,7 @@ object Methods {
   /** Similarity (Pearson) and dissimilarity (sqrt(2(1-p))) matrices. */
   def correlationInput(ds: Dataset, par: Par): (SymMatrix, SymMatrix) = {
     val s = Correlation.pearson(ds.data, par)
-    (s, Correlation.dissimilarity(s))
+    (s, Correlation.dissimilarity(s, par))
   }
 
   /** PAR-TDBHT: the paper's contribution — batched TMFG + optimized DBHT. */

@@ -9,13 +9,13 @@ import repro.core.{Par, SymMatrix, Tmfg, TmfgResult}
   * Runs the kernel's round engine, `Tmfg.grow`: the driver holds the O(n)
   * graph / face / bubble-tree state and applies each round's batch
   * (exactly the role the shared O(n) state plays in the paper's
-  * shared-memory algorithm). Only the GAINS rescans fan out: each round's
-  * stale faces become an RDD, scanned with `Tmfg.bestVertex` against the
-  * similarity matrix, which is shipped once as a broadcast.
+  * shared-memory algorithm), including the faces' candidate lists. Only
+  * the GAINS rescans fan out: each round's faces to rescan become an RDD,
+  * scanned with `Tmfg.candidates` against the similarity matrix, which is
+  * shipped once as a broadcast.
   *
   * Produces bit-identical output to `repro.core.Tmfg.build`: both run the
-  * same rounds and rescan the same faces, and `bestVertex` does not
-  * depend on the order of the remaining-vertex list.
+  * same rounds and rescan the same faces with the same kernel.
   */
 object SparkTmfg {
 
@@ -27,7 +27,7 @@ object SparkTmfg {
       Tmfg.grow(s, prefix, par) { (tris, rem, remCount) =>
         val bRem = sc.broadcast(rem.take(remCount))
         try sc.parallelize(tris.grouped(3).toSeq, math.min(64, tris.length / 3))
-              .map(t => Tmfg.bestVertex(bS.value, n, t(0), t(1), t(2), bRem.value, bRem.value.length))
+              .map(t => Tmfg.candidates(bS.value, n, t(0), t(1), t(2), bRem.value, bRem.value.length))
               .collect()
         finally bRem.destroy()
       }

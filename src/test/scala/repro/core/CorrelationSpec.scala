@@ -133,4 +133,17 @@ class CorrelationSpec extends AnyFunSuite {
     val d = Correlation.dissimilarity(s)
     assert(!d(0, 1).isNaN)
   }
+
+  test("dissimilarity on 1 and 4 threads is bit-identical to the per-cell formula") {
+    val rng = new Random(12)
+    val rows = Array.fill(67)(Array.fill(30)(rng.nextGaussian()))
+    val s = Par.withThreads(4)(par => Correlation.pearson(rows, par))
+    val expected = SymMatrix.zeros(s.n)
+    for (i <- 0 until s.n; j <- 0 until s.n if i != j)
+      expected.data(i * s.n + j) = math.sqrt(math.max(0.0, 2.0 * (1.0 - s(i, j))))
+    val bits = (m: SymMatrix) => m.data.map(java.lang.Double.doubleToRawLongBits).toSeq
+    assert(bits(Correlation.dissimilarity(s)) == bits(expected))
+    for (threads <- Seq(1, 4))
+      assert(bits(Par.withThreads(threads)(par => Correlation.dissimilarity(s, par))) == bits(expected), s"threads=$threads")
+  }
 }

@@ -241,7 +241,7 @@ class TmfgSpec extends AnyFunSuite {
     // a scan that finds no best vertex for any face leaves the batch empty
     val e = intercept[IllegalStateException](Par.withThreads(1) { par =>
       Tmfg.grow(TestUtils.randomSim(8, 1), 2, par)((tris, _, _) =>
-        Array.fill(tris.length / 3)((-1, Double.NegativeInfinity)))
+        Array.fill(tris.length / 3)(Tmfg.Candidates(Array.empty, Array.empty)))
     })
     assert(e.getMessage.contains("4 vertices remain"), e.getMessage)
   }
@@ -249,5 +249,60 @@ class TmfgSpec extends AnyFunSuite {
   test("graph is connected") {
     val res = build(45, 9)
     assert(res.graph.isConnectedExcluding(Set.empty))
+  }
+
+  test("exact gain ties equal the brute-force batched TMFG, down to lists shorter than K") {
+    // quantised similarities give exact gain ties; at these n the last
+    // rounds scan fewer than K remaining vertices, so short lists run out
+    for (n <- Seq(12, 25, 40); seed <- 1L to 2L) {
+      val s = TestUtils.quantisedSim(n, seed)
+      val gains = (3 until n).map(v => s(0, v) + s(1, v) + s(2, v))
+      assert(gains.distinct.size < gains.size, s"n=$n seed=$seed has no tie")
+      for (prefix <- Seq(1, 3, 8)) {
+        val (bg, border, brounds) = TestUtils.bruteBatchedTmfg(s, prefix)
+        for (threads <- Seq(1, 4)) {
+          val res = Par.withThreads(threads)(par => Tmfg.build(s, prefix, par))
+          val what = s"n=$n seed=$seed prefix=$prefix threads=$threads"
+          assert(res.graph.edges == bg.edges, what)
+          assert(res.insertionOrder.toSeq == border.toSeq, what)
+          assert(res.rounds == brounds, what)
+        }
+      }
+    }
+  }
+
+  test("candidates lists the first K remaining vertices by (gain desc, vertex asc)") {
+    val n = 40
+    val s = TestUtils.quantisedSim(n, 4)
+    val rng = new scala.util.Random(4)
+    for (_ <- 0 until 200) {
+      val tri = rng.shuffle((0 until n).toVector)
+      val (a, b, c) = (tri(0), tri(1), tri(2))
+      val rem = rng.shuffle(tri.drop(3)).take(1 + rng.nextInt(n - 3)).toArray
+      def gain(v: Int) = s(a, v) + s(b, v) + s(c, v)
+      val expected = rem.sortBy(v => (-gain(v), v)).take(Tmfg.K)
+      // entries past remCount are not remaining and must be ignored
+      val padded = rem ++ Array.fill(3)(tri(3 + rng.nextInt(n - 3)))
+      val got = Tmfg.candidates(s.data, n, a, b, c, padded, rem.length)
+      assert(got.verts.toSeq == expected.toSeq)
+      assert(got.gains.toSeq == expected.map(gain).toSeq)
+    }
+  }
+
+  test("the candidate lists spare most rescans") {
+    // faces handed to the scan at n=400, prefix 1: 8940 when every stale
+    // face was rescanned; with the lists, only new faces and stale faces
+    // whose K listed vertices are all inserted
+    val ds = repro.data.TimeSeriesGen.make("tmfg-cache", 400, 96, 8, noise = 1.3, seed = 1)
+    Par.withThreads(1) { par =>
+      val s = Correlation.pearson(ds.data, par)
+      var faces = 0
+      val res = Tmfg.grow(s, 1, par) { (tris, rem, remCount) =>
+        faces += tris.length / 3
+        Tmfg.scanFaces(s, par)(tris, rem, remCount)
+      }
+      assert(res.graph.edges == Tmfg.build(s, 1, par).graph.edges)
+      assert(faces < 8940, s"$faces faces scanned")
+    }
   }
 }
