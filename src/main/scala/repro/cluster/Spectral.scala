@@ -58,7 +58,7 @@ object Spectral {
     val rng = new Random(seed)
     var basis = Array.fill(c)(Array.fill(n)(rng.nextGaussian()))
     orthonormalize(basis)
-    val next = Array.ofDim[Double](c, n)
+    var next = Array.ofDim[Double](c, n)
     var it = 0
     while (it < iters) {
       par.parFor(c) { v =>
@@ -75,8 +75,8 @@ object Spectral {
         }
       }
       val tmp = basis
-      basis = next.map(identity)
-      System.arraycopy(tmp, 0, next, 0, c) // reuse buffers
+      basis = next
+      next = tmp
       orthonormalize(basis)
       it += 1
     }
@@ -85,37 +85,26 @@ object Spectral {
   }
 
   /** Modified Gram-Schmidt over the row vectors of `vs`, in place. */
-  private def orthonormalize(vs: Array[Array[Double]]): Unit = {
-    val n = vs(0).length
+  private def orthonormalize(vs: Array[Array[Double]]): Unit =
     for (i <- vs.indices) {
       val vi = vs(i)
-      for (j <- 0 until i) {
-        val vj = vs(j)
-        var dot = 0.0
-        var t = 0
-        while (t < n) { dot += vi(t) * vj(t); t += 1 }
-        t = 0
-        while (t < n) { vi(t) -= dot * vj(t); t += 1 }
-      }
-      var nrm = 0.0
-      var t = 0
-      while (t < n) { nrm += vi(t) * vi(t); t += 1 }
-      nrm = math.sqrt(nrm)
+      var nrm = projectOutPrevious(vs, i)
       if (nrm < 1e-12) {
         // degenerate direction: replace with a fresh deterministic vector
         var s = 0
-        while (s < n) { vi(s) = math.sin(0.7 * (s + 1) * (i + 1)); s += 1 }
-        orthoAgainstPrevious(vs, i)
-      } else {
-        t = 0
-        while (t < n) { vi(t) /= nrm; t += 1 }
+        while (s < vi.length) { vi(s) = math.sin(0.7 * (s + 1) * (i + 1)); s += 1 }
+        nrm = math.max(projectOutPrevious(vs, i), 1e-12)
       }
+      var t = 0
+      while (t < vi.length) { vi(t) /= nrm; t += 1 }
     }
-  }
 
-  private def orthoAgainstPrevious(vs: Array[Array[Double]], i: Int): Unit = {
-    val n = vs(0).length
+  /** Subtracts from `vs(i)` its projection on each of `vs(0 until i)`, in
+    * order, and returns the norm of what is left.
+    */
+  private def projectOutPrevious(vs: Array[Array[Double]], i: Int): Double = {
     val vi = vs(i)
+    val n = vi.length
     for (j <- 0 until i) {
       val vj = vs(j)
       var dot = 0.0
@@ -127,8 +116,6 @@ object Spectral {
     var nrm = 0.0
     var t = 0
     while (t < n) { nrm += vi(t) * vi(t); t += 1 }
-    nrm = math.max(math.sqrt(nrm), 1e-12)
-    t = 0
-    while (t < n) { vi(t) /= nrm; t += 1 }
+    math.sqrt(nrm)
   }
 }

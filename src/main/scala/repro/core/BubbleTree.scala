@@ -89,7 +89,7 @@ object BubbleDirections {
     * `wdeg` must be the weighted degrees of the TMFG vertices under S.
     * Returns `towardChild` per bubble id (false for the root).
     */
-  def compute(tree: BubbleTree, g: WGraph, s: SymMatrix, wdeg: Array[Double], par: Par): Array[Boolean] = {
+  def compute(tree: BubbleTree, s: SymMatrix, wdeg: Array[Double], par: Par): Array[Boolean] = {
     val nb = tree.numBubbles
     val towardChild = new Array[Boolean](nb)
     if (nb <= 1) return towardChild

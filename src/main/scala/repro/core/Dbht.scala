@@ -10,12 +10,11 @@ import scala.collection.mutable.ArrayBuffer
   *
   * @param n        number of graph vertices
   * @param vertsOf  vertices of each bubble
-  * @param treeAdj  undirected bubble-tree adjacency
-  * @param outNbrs  directed out-neighbors of each bubble
+  * @param outNbrs  directed out-neighbors of each bubble; every bubble-tree
+  *                 edge appears once, at its tail
   */
 final case class Bubbles(n: Int,
                          vertsOf: Array[Array[Int]],
-                         treeAdj: Array[Array[Int]],
                          outNbrs: Array[Array[Int]]) {
   def numBubbles: Int = vertsOf.length
 
@@ -47,35 +46,41 @@ object Dbht {
   def bubblesFromTmfg(res: TmfgResult, s: SymMatrix, par: Par): Bubbles = {
     val tree = res.tree
     val wdeg = res.graph.weightedDegrees(s)
-    val towardChild = BubbleDirections.compute(tree, res.graph, s, wdeg, par)
+    val towardChild = BubbleDirections.compute(tree, s, wdeg, par)
     val nb = tree.numBubbles
     // one pass over the parent edges (parent(c), c); a bubble has at most
     // four tree neighbours, one per face
-    val treeAdj = Array.fill(nb)(Array.emptyIntArray)
     val outNbrs = Array.fill(nb)(Array.emptyIntArray)
     for (c <- 0 until nb; if c != tree.root) {
       val p = tree.parent(c)
-      treeAdj(p) :+= c; treeAdj(c) :+= p
       if (towardChild(c)) outNbrs(p) :+= c else outNbrs(c) :+= p
     }
-    Bubbles(res.graph.n, Array.tabulate(nb)(tree.verts(_).clone()), treeAdj, outNbrs)
+    Bubbles(res.graph.n, Array.tabulate(nb)(tree.verts(_).clone()), outNbrs)
   }
 
   /** Which converging bubbles each bubble can reach along directed edges
-    * (paper Algorithm 4, Lines 5-6): one BFS per bubble, in parallel.
+    * (paper Algorithm 4, Lines 5-6): one depth-first walk per bubble, in
+    * parallel. A directed tree has one path to each bubble it reaches, so
+    * the walk keeps no visited set; popping more than `numBubbles` entries
+    * means the out-edges hold a cycle, which fails.
     */
   def reachableConverging(bub: Bubbles, par: Par): Array[Array[Int]] = {
     val nb = bub.numBubbles
-    val conv = bub.outNbrs.map(_.isEmpty)
     par.parMap(nb, grain = 8) { start =>
-      val seen = new java.util.HashSet[Integer]()
-      val out  = new ArrayBuffer[Int]()
-      val queue = new java.util.ArrayDeque[Integer]()
-      queue.add(start); seen.add(start)
-      while (!queue.isEmpty) {
-        val b = queue.poll().intValue()
-        if (conv(b)) out += b
-        for (c <- bub.outNbrs(b)) if (seen.add(c)) queue.add(c)
+      val out = new ArrayBuffer[Int]()
+      var stack = new Array[Int](8)
+      stack(0) = start
+      var top = 1
+      var popped = 0
+      while (top > 0) {
+        top -= 1
+        val b = stack(top)
+        popped += 1
+        require(popped <= nb, s"the walk from bubble $start pops more than $nb bubbles: the out-edges are not a tree")
+        val cs = bub.outNbrs(b)
+        if (cs.isEmpty) out += b
+        if (top + cs.length > stack.length) stack = java.util.Arrays.copyOf(stack, 2 * (top + cs.length))
+        for (c <- cs) { stack(top) = c; top += 1 }
       }
       out.sorted.toArray
     }
@@ -151,6 +156,9 @@ object Dbht {
       if (group(v) == -1) {
         // converging bubbles reachable from any bubble containing v
         val cand = byVertex(v).flatMap(reach(_)).distinct
+        // a walk along the out-edges of a finite tree ends at a sink, so
+        // only a vertex in no bubble reaches no converging bubble
+        require(cand.nonEmpty, s"vertex $v reaches no converging bubble: it lies in no bubble")
         var bestB = -1
         var bestL = Double.PositiveInfinity
         for (b <- cand) {
@@ -165,7 +173,6 @@ object Dbht {
         // every reachable converging bubble is empty so far (possible
         // only in degenerate inputs): fall back to max chi over them
         if (bestB == -1) bestB = argmax(cand)(chi(v, _, bub, g, s))
-        if (bestB == -1 && conv.nonEmpty) bestB = conv(0)
         group(v) = bestB
       }
     }
@@ -179,47 +186,45 @@ object Dbht {
     Assignments(group, bubbleOf, conv)
   }
 
-  /** A merge inside one group's plan, with local node numbering:
-    * 0..m-1 = index into the group's member array, m+t = t-th local
-    * merge. `kind` 0 = intra-bubble, 1 = inter-bubble.
-    */
-  final case class LocalMerge(a: Int, b: Int, dist: Double, kind: Int, bubbleOrd: Int)
-
-  /** Pure per-group dendrogram plan: serializable, so the group fan-out
-    * can run on a thread pool or on a Spark RDD.
-    */
-  final case class GroupPlan(members: Array[Int], merges: Array[LocalMerge])
-
   /** Complete linkage over `clusters` under the point distance `dist`;
-    * `roots` are the clusters' current node ids and `merge(a, b, d)`
-    * records one merge of two nodes and returns the new node's id.
-    * Returns the root node.
+    * `roots` are the clusters' current node ids and `merge(a, b)` records
+    * one merge of two nodes, in non-decreasing distance order, and returns
+    * the new node's id. Returns the root node.
     */
   private def completeLinkage(clusters: Array[Array[Int]], roots: Array[Int], dist: (Int, Int) => Double)
-                             (merge: (Int, Int, Double) => Int): Int = {
+                             (merge: (Int, Int) => Int): Int = {
     val k = clusters.length
-    val cd = Linkage.clusterDistances(clusters, dist, Linkage.Complete)
+    val cd = Linkage.clusterDistances(clusters, dist)
     val node = roots ++ new Array[Int](k - 1)
     for ((mm, t) <- Linkage.agglomerate(k, cd, clusters.map(_.length), Linkage.Complete).zipWithIndex)
-      node(k + t) = merge(node(mm.a), node(mm.b), mm.dist)
+      node(k + t) = merge(node(mm.a), node(mm.b))
     node.last
   }
 
-  /** Plan one group's intra-bubble + inter-bubble complete linkage. */
-  def planGroup(members: Array[Int], bubbleOf: Array[Int], apspD: SymMatrix): GroupPlan = {
+  /** Plan one group's intra-bubble + inter-bubble complete linkage: its
+    * m-1 merges as local-id pairs, merge t at (2t, 2t+1), where ids
+    * 0..m-1 index `members` and m+t is the t-th merge. The intra-bubble
+    * runs come first, by ascending bubble id, then the inter-bubble run;
+    * each run is in non-decreasing distance order, which is the order the
+    * heights of §V-D follow. A pure function of its arguments, so the
+    * group fan-out can run on a thread pool or on a Spark RDD.
+    */
+  def planGroup(members: Array[Int], bubbleOf: Array[Int], apspD: SymMatrix): Array[Int] = {
     val m = members.length
-    val merges = new ArrayBuffer[LocalMerge]()
-    def link(clusters: Array[Array[Int]], roots: Array[Int], kind: Int, ord: Int): Int =
-      completeLinkage(clusters, roots, (a, b) => apspD(members(a), members(b))) { (a, b, d) =>
-        merges += LocalMerge(a, b, d, kind, ord)
-        m + merges.length - 1
+    val pairs = new Array[Int](2 * (m - 1))
+    var t = 0
+    def link(clusters: Array[Array[Int]], roots: Array[Int]): Int =
+      completeLinkage(clusters, roots, (a, b) => apspD(members(a), members(b))) { (a, b) =>
+        pairs(2 * t) = a; pairs(2 * t + 1) = b
+        t += 1
+        m + t - 1
       }
     // subgroups as indices into `members`, by ascending bubble id
     val subgroups = members.indices.toArray.groupBy(i => bubbleOf(members(i))).toArray.sortBy(_._1).map(_._2)
     // intra-bubble linkage per subgroup, then inter-bubble across their roots
-    val subRoots = subgroups.zipWithIndex.map { case (sg, ord) => link(sg.map(Array(_)), sg, 0, ord) }
-    link(subgroups, subRoots, 1, 0)
-    GroupPlan(members, merges.toArray)
+    val subRoots = subgroups.map(sg => link(sg.map(Array(_)), sg))
+    link(subgroups, subRoots)
+    pairs
   }
 
   /** Build the DBHT dendrogram (Algorithm 4, Lines 24-33 plus the height
@@ -237,36 +242,26 @@ object Dbht {
   /** `dendrogram` with the group fan-out left to `planAll`: given the
     * members of every group, in ascending group id, it returns `planGroup`
     * of each, in order. `dendrogram` fans out on a `Par`,
-    * `repro.spark.SparkPipeline.dendrogram` on an RDD.
+    * `repro.spark.SparkPipeline.dendrogram` on an RDD. The plans go into
+    * one builder, merge t of a group of m at height 1/(m-1-t); the groups
+    * then join by complete linkage.
     */
   def hierarchy(n: Int, asg: Assignments, apspD: SymMatrix)
-               (planAll: Array[Array[Int]] => Array[GroupPlan]): Dendrogram =
-    assemble(n, planAll(groupMembers(asg.group, asg.group.max + 1).filter(_.nonEmpty)), apspD)
-
-  /** Apply group plans to a shared builder and finish with the top-level
-    * inter-group complete linkage.
-    */
-  private def assemble(n: Int, plans: Array[GroupPlan], apspD: SymMatrix): Dendrogram = {
+               (planAll: Array[Array[Int]] => Array[Array[Int]]): Dendrogram = {
+    val groups = groupMembers(asg.group, asg.group.max + 1).filter(_.nonEmpty)
     val builder = new DendroBuilder(n)
-    val groupRoots = plans.map { plan =>
-      val m = plan.members.length
-      val node = plan.members ++ new Array[Int](plan.merges.length) // local -> global id
-      for ((mm, t) <- plan.merges.zipWithIndex) node(m + t) = builder.merge(node(mm.a), node(mm.b), 0.0)
-      // heights: intra merges (by bubble order, then distance, then
-      // creation) before inter merges (by distance, then creation) get
-      // 1/(m-1) .. 1
-      val order = plan.merges.indices.sortBy { t =>
-        val mm = plan.merges(t)
-        (mm.kind, mm.bubbleOrd, mm.dist, t)
-      }
-      for ((t, rank) <- order.zipWithIndex) builder.setHeight(node(m + t), 1.0 / (m - 1 - rank))
+    val groupRoots = groups.zip(planAll(groups)).map { case (members, pairs) =>
+      val m = members.length
+      val node = members ++ new Array[Int](m - 1) // local -> global id
+      for (t <- 0 until m - 1)
+        node(m + t) = builder.merge(node(pairs(2 * t)), node(pairs(2 * t + 1)), 1.0 / (m - 1 - t))
       node.last
     }
     // top level: complete linkage across groups, heights = number of
     // converging bubbles (groups) among descendants
     val groupsUnder = new Array[Int](2 * n - 1)
     groupRoots.foreach(groupsUnder(_) = 1)
-    completeLinkage(plans.map(_.members), groupRoots, apspD(_, _)) { (a, b, _) =>
+    completeLinkage(groups, groupRoots, apspD(_, _)) { (a, b) =>
       val c = groupsUnder(a) + groupsUnder(b)
       val id = builder.merge(a, b, c.toDouble)
       groupsUnder(id) = c

@@ -88,10 +88,6 @@ final class DendroBuilder(val nLeaves: Int) {
     id
   }
 
-  def nextId: Int = nLeaves + left.length
-
-  def setHeight(node: Int, h: Double): Unit = height(node - nLeaves) = h
-
   def build(): Dendrogram = {
     require(left.length == nLeaves - 1,
       s"expected ${nLeaves - 1} merges, got ${left.length}")

@@ -110,33 +110,29 @@ object Linkage {
     out.toArray
   }
 
-  /** Cluster-distance matrix between groups of points under complete or
-    * average linkage, from a point-level distance lookup.
+  /** Complete-linkage cluster-distance matrix between groups of points
+    * (flat k x k, symmetric): the largest `pointDist(a, b)` over a in
+    * group i and b in group j, for i < j.
     */
-  def clusterDistances(members: Array[Array[Int]], pointDist: (Int, Int) => Double,
-                       method: Method): Array[Double] = {
+  def clusterDistances(members: Array[Array[Int]], pointDist: (Int, Int) => Double): Array[Double] = {
     val k = members.length
     val d = new Array[Double](k * k)
     var i = 0
     while (i < k) {
       var j = i + 1
       while (j < k) {
-        var acc = if (method == Complete) Double.NegativeInfinity else 0.0
+        var acc = Double.NegativeInfinity
         val mi = members(i); val mj = members(j)
         var a = 0
         while (a < mi.length) {
           var b = 0
           while (b < mj.length) {
             val dd = pointDist(mi(a), mj(b))
-            method match {
-              case Complete => if (dd > acc) acc = dd
-              case Average  => acc += dd
-            }
+            if (dd > acc) acc = dd
             b += 1
           }
           a += 1
         }
-        if (method == Average) acc /= (mi.length.toLong * mj.length)
         d(i * k + j) = acc
         d(j * k + i) = acc
         j += 1

@@ -135,12 +135,9 @@ object GenericBubbles {
     */
   def direct(g: WGraph, s: SymMatrix, dec: Decomposition): Bubbles = {
     val nb = dec.vertsOf.length
-    val treeAdjB = Array.fill(nb)(new ArrayBuffer[Int]())
     val outNbrsB = Array.fill(nb)(new ArrayBuffer[Int]())
 
     for ((ba, bb, tri) <- dec.treeEdges) {
-      treeAdjB(ba) += bb
-      treeAdjB(bb) += ba
       // side containing bubble ba's non-triangle vertices
       val tset = tri.toSet
       val seedA = dec.vertsOf(ba).find(v => !tset.contains(v))
@@ -158,7 +155,7 @@ object GenericBubbles {
       if (valA > valB) outNbrsB(bb) += ba
       else outNbrsB(ba) += bb
     }
-    Bubbles(g.n, dec.vertsOf.map(_.clone()), treeAdjB.map(_.toArray), outNbrsB.map(_.toArray))
+    Bubbles(g.n, dec.vertsOf.map(_.clone()), outNbrsB.map(_.toArray))
   }
 
   /** Full generic pipeline: decomposition + direction. */

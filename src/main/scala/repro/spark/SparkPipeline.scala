@@ -21,7 +21,8 @@ object SparkPipeline {
 
   /** Distributed per-group dendrogram planning (Algorithm 4 Lines 24-33):
     * `Dbht.hierarchy` with the groups fanned out over an RDD; the APSP
-    * matrix and the bubble assignment ship as broadcasts.
+    * matrix and the bubble assignment ship as broadcasts, and each group's
+    * plan comes back as its merge pairs.
     */
   def dendrogram(spark: SparkSession, n: Int, asg: Dbht.Assignments,
                  apspD: SymMatrix): Dendrogram = {

@@ -125,7 +125,7 @@ class BubbleTreeSpec extends AnyFunSuite {
       val res = Par.withThreads(4)(par => Tmfg.build(s, prefix, par))
       val wdeg = res.graph.weightedDegrees(s)
       val towardChild = Par.withThreads(4)(par =>
-        BubbleDirections.compute(res.tree, res.graph, s, wdeg, par))
+        BubbleDirections.compute(res.tree, s, wdeg, par))
       val tree = res.tree
       for (b <- 0 until tree.numBubbles; if b != tree.root) {
         val (inV, outV) = TestUtils.bruteInOutVals(res.graph, s, tree.sepTri(b), tree.innerVert(b))
@@ -139,8 +139,8 @@ class BubbleTreeSpec extends AnyFunSuite {
     val s = TestUtils.randomSim(50, 12)
     val res = Par.withThreads(4)(par => Tmfg.build(s, 5, par))
     val wdeg = res.graph.weightedDegrees(s)
-    val d1 = Par.withThreads(1)(par => BubbleDirections.compute(res.tree, res.graph, s, wdeg, par))
-    val d8 = Par.withThreads(8)(par => BubbleDirections.compute(res.tree, res.graph, s, wdeg, par))
+    val d1 = Par.withThreads(1)(par => BubbleDirections.compute(res.tree, s, wdeg, par))
+    val d8 = Par.withThreads(8)(par => BubbleDirections.compute(res.tree, s, wdeg, par))
     assert(d1.sameElements(d8))
   }
 

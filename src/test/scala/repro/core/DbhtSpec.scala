@@ -70,9 +70,10 @@ class DbhtSpec extends AnyFunSuite {
       val genSets = bubGen.vertsOf.map(_.sorted.toSeq).toSet
       assert(optSets == genSets, s"seed=$seed prefix=$prefix bubbles differ")
 
-      // same undirected tree edges (as pairs of vertex sets)
+      // same undirected tree edges (as pairs of vertex sets): each tree
+      // edge is one out-edge, at its tail
       def edgeSets(b: Bubbles): Set[Set[Seq[Int]]] =
-        (for (x <- 0 until b.numBubbles; y <- b.treeAdj(x); if x < y)
+        (for (x <- 0 until b.numBubbles; y <- b.outNbrs(x))
           yield Set(b.vertsOf(x).sorted.toSeq, b.vertsOf(y).sorted.toSeq)).toSet
       assert(edgeSets(bubOpt) == edgeSets(bubGen), s"seed=$seed prefix=$prefix tree differs")
 
@@ -186,10 +187,9 @@ class DbhtSpec extends AnyFunSuite {
     // bubble 2 alone: no mean shortest path exists and chi decides
     val vertsOf = Array(Array(0, 1, 2, 3), Array(2, 3, 4, 5), Array(1, 2, 3, 4),
                         Array(3, 4, 5, 6), Array(0, 1, 3, 4), Array(1, 2, 4, 5))
-    val treeAdj = Array(Array(4), Array(5), Array(3, 4, 5), Array(2), Array(0, 2), Array(1, 2))
     val outNbrs = Array(Array.emptyIntArray, Array.emptyIntArray, Array.emptyIntArray,
                         Array(2), Array(0, 2), Array(1, 2))
-    val bub = Bubbles(7, vertsOf, treeAdj, outNbrs)
+    val bub = Bubbles(7, vertsOf, outNbrs)
     val s = SymMatrix.zeros(7)
     for (i <- 0 until 7; j <- i until 7) s.update(i, j, if (i == j) 1.0 else 0.5)
     s.update(0, 1, 0.9); s.update(0, 2, 0.9); s.update(0, 3, 0.9); s.update(4, 5, 0.9)
@@ -202,6 +202,80 @@ class DbhtSpec extends AnyFunSuite {
       assert(asg.bubble(6) == 3)
     }
     assert(runs(0).group.sameElements(runs(1).group) && runs(0).bubble.sameElements(runs(1).bubble))
+  }
+
+  /** The message of the failure `Dbht.assign` throws on hand-built
+    * bubbles over a complete graph on n vertices.
+    */
+  private def assignFailure(n: Int, vertsOf: Array[Array[Int]], outNbrs: Array[Array[Int]]): String = {
+    val s = SymMatrix.zeros(n)
+    for (i <- 0 until n; j <- i until n) s.update(i, j, if (i == j) 1.0 else 0.5 + 0.01 * (i + j))
+    val g = WGraph.fromEdges(n, for (i <- 0 until n; j <- i + 1 until n) yield (i, j))
+    Par.withThreads(1) { par =>
+      val apsp = Apsp.allPairs(g, Correlation.dissimilarity(s), par)
+      intercept[IllegalArgumentException](Dbht.assign(Bubbles(n, vertsOf, outNbrs), g, s, apsp, par)).getMessage
+    }
+  }
+
+  test("assign fails, naming the vertex, when a vertex lies in no bubble") {
+    // bubbles 0 -> 1 cover vertices 0..4; vertex 5 is in neither
+    val msg = assignFailure(6, Array(Array(0, 1, 2, 3), Array(1, 2, 3, 4)), Array(Array(1), Array.emptyIntArray))
+    assert(msg.contains("vertex 5 reaches no converging bubble"), msg)
+  }
+
+  test("assign fails when the bubbles' out-edges hold a cycle") {
+    // 0 -> 1 -> 0: a walk along out-edges never ends at a sink
+    val msg = assignFailure(5, Array(Array(0, 1, 2, 3), Array(1, 2, 3, 4)), Array(Array(1), Array(0)))
+    assert(msg.contains("the out-edges are not a tree"), msg)
+  }
+
+  test("each group's plan merges within subgroups by ascending bubble id, then across them; heights follow it") {
+    // on a symmetric APSP, so that a merge's complete-linkage distance does
+    // not depend on which side a pair is read from
+    var interRuns = 0
+    for (seed <- 1L to 6L; n <- Seq(30, 45, 60); prefix <- Seq(1, 4)) {
+      val s = TestUtils.randomSim(n, seed)
+      val (res, bub, _, _, apsp) = pipeline(s, prefix)
+      val sym = apsp.copy()
+      for (i <- 0 until n; j <- i + 1 until n) sym.update(i, j, apsp(i, j))
+      val (asg, den) = Par.withThreads(4) { par =>
+        val asg = Dbht.assign(bub, res.graph, s, sym, par)
+        (asg, Dbht.dendrogram(n, asg, sym, par))
+      }
+      var offset = 0 // the group's first merge in the dendrogram
+      for (members <- (0 until n).groupBy(asg.group).toSeq.sortBy(_._1).map(_._2.toArray)) {
+        val where = s"seed=$seed n=$n prefix=$prefix group of ${members.mkString(",")}"
+        val m = members.length
+        val pairs = Dbht.planGroup(members, asg.bubble, sym)
+        assert(pairs.length == 2 * (m - 1), where)
+        val leaves = Array.tabulate(m)(Set(_)).toBuffer
+        // each merge as (bubble id of an intra-bubble merge, or -1 for an
+        // inter-bubble one; its complete-linkage distance)
+        val merges = for (t <- 0 until m - 1) yield {
+          val (a, b) = (leaves(pairs(2 * t)), leaves(pairs(2 * t + 1)))
+          leaves += a ++ b
+          val bubbles = (a ++ b).map(x => asg.bubble(members(x)))
+          val dist = (for (x <- a; y <- b) yield sym(members(x), members(y))).max
+          (if (bubbles.size == 1) bubbles.head else -1, dist)
+        }
+        val intra = merges.takeWhile(_._1 >= 0)
+        val inter = merges.drop(intra.length)
+        assert(intra.map(_._1) == intra.map(_._1).sorted, s"$where: intra-bubble runs out of bubble order")
+        assert(inter.forall(_._1 == -1), s"$where: an intra-bubble merge after an inter-bubble one")
+        assert(inter.length == members.map(asg.bubble).distinct.length - 1, where)
+        if (inter.nonEmpty) interRuns += 1
+        for (run <- intra.groupBy(_._1).values.toSeq :+ inter; t <- 1 until run.length)
+          assert(run(t - 1)._2 <= run(t)._2, s"$where: distance decreases within a run")
+        // the dendrogram takes the plan as it is, merge t at height 1/(m-1-t)
+        def global(x: Int): Int = if (x < m) members(x) else n + offset + (x - m)
+        for (t <- 0 until m - 1) {
+          assert(den.left(offset + t) == global(pairs(2 * t)) && den.right(offset + t) == global(pairs(2 * t + 1)), where)
+          assert(den.height(offset + t) == 1.0 / (m - 1 - t), where)
+        }
+        offset += m - 1
+      }
+    }
+    assert(interRuns > 0, "no group has two subgroups")
   }
 
   /** The Appendix example (Fig. 12-13): 6 points, ground truth

@@ -78,11 +78,4 @@ class DendrogramSpec extends AnyFunSuite {
     val d = new DendroBuilder(1).build()
     assert(d.cut(1).toSeq == Seq(0))
   }
-
-  test("setHeight overrides a placeholder") {
-    val b = new DendroBuilder(2)
-    val m = b.merge(0, 1, 0.0)
-    b.setHeight(m, 7.5)
-    assert(b.build().heightOf(m) == 7.5)
-  }
 }

@@ -53,7 +53,7 @@ class Figure2Spec extends AnyFunSuite {
 
   private def consistent(s: SymMatrix, tree: BubbleTree, g: WGraph, par: Par): Boolean = {
     val wdeg = g.weightedDegrees(s)
-    val towardChild = BubbleDirections.compute(tree, g, s, wdeg, par)
+    val towardChild = BubbleDirections.compute(tree, s, wdeg, par)
     // all three edges directed into b2: child b1 -> parent b2 (towardChild
     // false), child b4 -> parent b2 (false), parent b3 -> child b2 (true)
     if (towardChild(B1) || towardChild(B4) || !towardChild(B2)) return false
