@@ -7,7 +7,7 @@ package repro.core
   * runtime-decomposition bench (T3) reproduces.
   *
   * Every source runs one kernel, `row`: a bucket queue (Dial 1969) of
-  * width Δ over the graph's flat edge arrays (`Edges`), label-correcting
+  * width Δ over the CSR graph and its D weights (`Edges`), label-correcting
   * inside a bucket like the Δ-stepping of Meyer & Sanders (J. Algorithms
   * 2003). Its distances are bit-identical to Dijkstra's: `fl(a + w)` is
   * monotone in `a`, so every correct label-setting or label-correcting
@@ -21,17 +21,17 @@ object Apsp {
   /** Sources per block of `allPairs`; each block allocates one `Workspace`. */
   private val Block = 16
 
-  /** The edges of a graph under D as flat arrays: vertex u's neighbours
-    * are `nbr(off(u) until off(u + 1))`, and `w(k) = d(u, nbr(k))`. O(n)
-    * for the planar TMFG, which is why Spark broadcasts it.
+  /** The graph `g` weighted by D: `w(k) = d(u, g.nbr(k))` for vertex u's
+    * neighbour `g.nbr(k)`, `k` in `g.off(u) until g.off(u + 1)`. The
+    * topology is `g`'s own CSR arrays, not a copy. O(n) for the planar
+    * TMFG, which is why Spark broadcasts it.
     *
     * `delta` is the bucket width Δ = max(w_min, w_max / 64), or 1 when
     * every weight is 0. A scan pushes a vertex at most ⌊w_max/Δ⌋ + 1
     * buckets (+1 for rounding) past the current one, so a ring of
     * `ring` = ⌊w_max/Δ⌋ + 3 buckets (at most 67) holds every live entry.
     */
-  final class Edges private[Apsp] (val n: Int, val off: Array[Int], val nbr: Array[Int],
-                                   val w: Array[Double], val delta: Double, val ring: Int)
+  final class Edges private[Apsp] (val g: WGraph, val w: Array[Double], val delta: Double, val ring: Int)
       extends Serializable
 
   /** The edges of `g` under `d`. The bucket arithmetic needs finite,
@@ -39,24 +39,17 @@ object Apsp {
     * edge fails here, naming the edge and the value, before any source runs.
     */
   def edges(g: WGraph, d: SymMatrix): Edges = {
-    val n   = g.n
-    val off = new Array[Int](n + 1)
-    var u = 0
-    while (u < n) { off(u + 1) = off(u) + g.adj(u).length; u += 1 }
-    val nbr = new Array[Int](off(n))
-    val w   = new Array[Double](off(n))
+    val w    = new Array[Double](g.nbr.length)
     var wMin = Double.PositiveInfinity
     var wMax = 0.0
-    u = 0
-    while (u < n) {
-      val a = g.adj(u)
-      var k = 0
-      while (k < a.length) {
-        val x = d(u, a(k))
+    var u = 0
+    while (u < g.n) {
+      var k = g.off(u)
+      while (k < g.off(u + 1)) {
+        val x = d(u, g.nbr(k))
         require(x >= 0.0 && x < Double.PositiveInfinity,
-          s"edge ($u, ${a(k)}) has dissimilarity $x: APSP needs finite, non-negative edge weights")
-        nbr(off(u) + k) = a(k)
-        w(off(u) + k) = x
+          s"edge ($u, ${g.nbr(k)}) has dissimilarity $x: APSP needs finite, non-negative edge weights")
+        w(k) = x
         wMin = math.min(wMin, x)
         wMax = math.max(wMax, x)
         k += 1
@@ -64,7 +57,7 @@ object Apsp {
       u += 1
     }
     val delta = if (wMax == 0.0) 1.0 else math.max(wMin, wMax / 64)
-    new Edges(n, off, nbr, w, delta, (wMax / delta).toInt + 3)
+    new Edges(g, w, delta, (wMax / delta).toInt + 3)
   }
 
   /** Per-worker working arrays for `row`, reused across sources: the
@@ -74,7 +67,7 @@ object Apsp {
   final class Workspace(e: Edges) {
     private[Apsp] val bucket    = Array.fill(e.ring)(new Array[Int](16))
     private[Apsp] val size      = new Array[Int](e.ring)
-    private[Apsp] val scannedAt = new Array[Double](e.n)
+    private[Apsp] val scannedAt = new Array[Double](e.g.n)
 
     private[Apsp] def push(slot: Int, v: Int): Unit = {
       val s = size(slot)
@@ -85,7 +78,7 @@ object Apsp {
   }
 
   /** Shortest-path distances from `src` over `e`, written straight into
-    * `out(base until base + e.n)` (+∞ where unreachable). `work` is the
+    * `out(base until base + e.g.n)` (+∞ where unreachable). `work` is the
     * caller's workspace, one per worker. Returns the number of vertex scans.
     *
     * A popped vertex is scanned only if its distance is still in the
@@ -95,10 +88,10 @@ object Apsp {
     * and fails rather than being dropped.
     */
   def row(e: Edges, src: Int, out: Array[Double], base: Int, work: Workspace): Int = {
-    val off = e.off; val nbr = e.nbr; val w = e.w
+    val off = e.g.off; val nbr = e.g.nbr; val w = e.w
     val delta = e.delta; val ring = e.ring
     val bucket = work.bucket; val size = work.size; val scannedAt = work.scannedAt
-    java.util.Arrays.fill(out, base, base + e.n, Double.PositiveInfinity)
+    java.util.Arrays.fill(out, base, base + e.g.n, Double.PositiveInfinity)
     java.util.Arrays.fill(scannedAt, -1.0)
     java.util.Arrays.fill(size, 0)
     out(base + src) = 0.0

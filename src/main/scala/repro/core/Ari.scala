@@ -1,9 +1,7 @@
 package repro.core
 
-/** Clustering-agreement metrics used in the paper's evaluation (§VII):
-  * Adjusted Rand Index (Hubert & Arabie) and Adjusted Mutual Information
-  * (Vinh et al.). The paper reports ARI in all plots and notes AMI shows
-  * the same trends.
+/** Clustering agreement for the paper's evaluation (§VII): the Adjusted
+  * Rand Index of Hubert & Arabie, which the paper reports in all plots.
   */
 object Ari {
 
@@ -38,64 +36,5 @@ object Ari {
     val maxIdx   = (sumI + sumJ) / 2.0
     if (maxIdx == expected) 1.0 // both partitions trivial (all-singletons or single cluster)
     else (sumIj - expected) / (maxIdx - expected)
-  }
-
-  private def entropy(counts: Array[Long], n: Long): Double =
-    counts.filter(_ > 0).map { c =>
-      val p = c.toDouble / n
-      -p * math.log(p)
-    }.sum
-
-  /** Mutual information of the two labelings (nats). */
-  def mutualInformation(a: Array[Int], b: Array[Int]): Double = {
-    val (table, rows, cols) = contingency(a, b)
-    val n = a.length.toDouble
-    var mi = 0.0
-    for (i <- table.indices; j <- table(i).indices) {
-      val nij = table(i)(j)
-      if (nij > 0)
-        mi += (nij / n) * math.log(nij * n / (rows(i).toDouble * cols(j)))
-    }
-    mi
-  }
-
-  /** Expected mutual information under the permutation model
-    * (Vinh et al. 2010, Eq. 24a) — the hypergeometric sum.
-    */
-  def expectedMutualInformation(rows: Array[Long], cols: Array[Long], n: Long): Double = {
-    val nD = n.toDouble
-    // log-factorials up to n
-    val logFac = new Array[Double](n.toInt + 1)
-    for (i <- 2 to n.toInt) logFac(i) = logFac(i - 1) + math.log(i)
-    @inline def lf(x: Long): Double = logFac(x.toInt)
-    var emi = 0.0
-    for (ai <- rows; bj <- cols) {
-      val lo = math.max(1L, ai + bj - n)
-      val hi = math.min(ai, bj)
-      var nij = lo
-      while (nij <= hi) {
-        val term1 = nij / nD * math.log(n.toDouble * nij / (ai.toDouble * bj))
-        val logP = lf(ai) + lf(bj) + lf(n - ai) + lf(n - bj) -
-          (lf(n) + lf(nij) + lf(ai - nij) + lf(bj - nij) + lf(n - ai - bj + nij))
-        emi += term1 * math.exp(logP)
-        nij += 1
-      }
-    }
-    emi
-  }
-
-  /** Adjusted Mutual Information with the arithmetic-mean normalizer
-    * (scikit-learn's default `average_method="arithmetic"`).
-    */
-  def ami(a: Array[Int], b: Array[Int]): Double = {
-    val (_, rows, cols) = contingency(a, b)
-    val n   = a.length.toLong
-    val mi  = mutualInformation(a, b)
-    val emi = expectedMutualInformation(rows, cols, n)
-    val ha  = entropy(rows, n)
-    val hb  = entropy(cols, n)
-    val denom = (ha + hb) / 2.0 - emi
-    if (math.abs(denom) < 1e-15) 1.0
-    else (mi - emi) / denom
   }
 }

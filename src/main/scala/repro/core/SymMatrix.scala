@@ -23,8 +23,6 @@ final class SymMatrix private (val n: Int, val data: Array[Double]) extends Seri
     while (j < n) { s += data(off + j); j += 1 }
     s
   }
-
-  def copy(): SymMatrix = new SymMatrix(n, data.clone())
 }
 
 object SymMatrix {
@@ -46,17 +44,5 @@ object SymMatrix {
     checkSize(n)
     require(data.length == n * n, s"expected ${n * n} entries, got ${data.length}")
     new SymMatrix(n, data)
-  }
-
-  def fromRows(rows: Array[Array[Double]]): SymMatrix = {
-    val n = rows.length
-    val m = zeros(n)
-    var i = 0
-    while (i < n) {
-      require(rows(i).length == n, s"row $i has length ${rows(i).length}, expected $n")
-      System.arraycopy(rows(i), 0, m.data, i * n, n)
-      i += 1
-    }
-    m
   }
 }

@@ -233,8 +233,12 @@ object Tmfg {
     require(badRow < 0, s"S must be finite: row $badRow sums to ${rowSums(badRow)}")
     val seed = (0 until n).sortBy(i => (-rowSums(i), i)).take(4).toArray
 
-    val edges = new ArrayBuffer[(Int, Int)](3 * n)
-    for (i <- 0 until 4; j <- i + 1 until 4) edges += ((seed(i), seed(j)))
+    // the 3n-6 edges (eu(i), ev(i)): the seed's six, then three per insertion
+    val eu = new Array[Int](3 * n - 6)
+    val ev = new Array[Int](3 * n - 6)
+    var numEdges = 0
+    def addEdge(u: Int, v: Int): Unit = { eu(numEdges) = u; ev(numEdges) = v; numEdges += 1 }
+    for (i <- 0 until 4; j <- i + 1 until 4) addEdge(seed(i), seed(j))
 
     // remaining vertices in ascending order, compacted after each round
     // so that a scan reads the rows of S in a monotone order
@@ -309,8 +313,8 @@ object Tmfg {
     for (f <- 0 until 4) { alive(f) = f; dirty(f) = f }
     aliveCount = 4
 
-    val insertionOrder = new ArrayBuffer[Int](n)
-    insertionOrder ++= seed
+    val insertionOrder = java.util.Arrays.copyOf(seed, n)
+    var numInserted = 4
 
     var rounds = 0
     while (remCount > 0) {
@@ -341,8 +345,9 @@ object Tmfg {
         val v = bestV(f)
         val t0 = faceVerts(3 * f); val t1 = faceVerts(3 * f + 1); val t2 = faceVerts(3 * f + 2)
         inserted(v) = true
-        insertionOrder += v
-        edges += ((v, t0)); edges += ((v, t1)); edges += ((v, t2))
+        insertionOrder(numInserted) = v
+        numInserted += 1
+        addEdge(v, t0); addEdge(v, t1); addEdge(v, t2)
 
         // bubble tree update (Algorithm 2)
         val bStar = tree.addBubble(Array(t0, t1, t2, v))
@@ -404,7 +409,6 @@ object Tmfg {
       }
     }
 
-    val graph = WGraph.fromEdges(n, edges)
-    TmfgResult(graph, tree, rounds, insertionOrder.toArray)
+    TmfgResult(WGraph.fromEdges(n, eu, ev), tree, rounds, insertionOrder)
   }
 }

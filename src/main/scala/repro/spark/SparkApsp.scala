@@ -4,8 +4,8 @@ import org.apache.spark.sql.SparkSession
 import repro.core.{Apsp, SymMatrix, WGraph}
 
 /** Distributed APSP over the TMFG: the n sources fan out over an RDD
-  * while the graph's flat edge arrays (`Apsp.Edges`, O(n) for the planar
-  * TMFG) ship once as a broadcast — the dataflow equivalent of the
+  * while the CSR graph and its D weights (`Apsp.Edges`, O(n) for the
+  * planar TMFG) ship once as a broadcast — the dataflow equivalent of the
   * paper's "SSSP from every vertex in parallel" (Algorithm 4, Line 7).
   * Each partition allocates one `Apsp.Workspace` and runs the kernel's
   * `Apsp.row` for each of its sources, so the rows are bit-identical to

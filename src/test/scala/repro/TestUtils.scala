@@ -174,6 +174,37 @@ object TestUtils {
     (WGraph.fromEdges(n, edges), order.toArray, rounds)
   }
 
+  /** Whether `g` is a valid CSR graph: `off` starts at 0, ends at
+    * `nbr.length` and never falls; every row is strictly ascending, within
+    * 0..n-1 and free of self-loops; and every edge is in both its rows.
+    */
+  def isCsr(g: WGraph): Boolean =
+    g.off.length == g.n + 1 && g.off(0) == 0 && g.off(g.n) == g.nbr.length &&
+      (0 until g.n).forall { u =>
+        val row = g.adj(u)
+        g.off(u) <= g.off(u + 1) && row.forall(v => v >= 0 && v < g.n && v != u && g.hasEdge(v, u)) &&
+          (1 until row.length).forall(k => row(k - 1) < row(k))
+      }
+
+  /** Vertex v's degree in `g`. */
+  def degree(g: WGraph, v: Int): Int = g.off(v + 1) - g.off(v)
+
+  /** Whether `g` stays connected once the vertices in `excluded` are
+    * removed (BFS); true when no vertex is left.
+    */
+  def isConnectedExcluding(g: WGraph, excluded: Set[Int]): Boolean = {
+    val active = (0 until g.n).filterNot(excluded.contains)
+    if (active.isEmpty) return true
+    val seen = collection.mutable.Set(active.head) ++= excluded
+    val queue = collection.mutable.Queue(active.head)
+    while (queue.nonEmpty)
+      for (w <- g.adj(queue.dequeue()); if !seen.contains(w)) { seen += w; queue.enqueue(w) }
+    seen.size == g.n
+  }
+
+  /** An independent copy of `m`. */
+  def copy(m: SymMatrix): SymMatrix = SymMatrix.wrap(m.n, m.data.clone())
+
   /** Floyd–Warshall APSP over a graph with matrix edge weights. */
   def floydWarshall(g: WGraph, d: SymMatrix): Array[Array[Double]] = {
     val n = g.n
@@ -280,7 +311,8 @@ object TestUtils {
   /** Reference APSP: `dijkstra` from every source, one row per source. */
   def dijkstraRows(g: WGraph, d: SymMatrix): Array[Array[Double]] = {
     val w = edgeWeights(g, d)
-    Array.tabulate(g.n)(src => dijkstra(g.adj, w, src))
+    val adj = Array.tabulate(g.n)(g.adj)
+    Array.tabulate(g.n)(src => dijkstra(adj, w, src))
   }
 
   /** The TMFG of `s` at `prefix` and the dissimilarity matrix of `s`: the

@@ -28,6 +28,13 @@ class ApspSpec extends AnyFunSuite {
     assert(dist(2).isPosInfinity && dist(3).isPosInfinity)
   }
 
+  test("Edges reads the graph's own CSR arrays and adds one weight per entry") {
+    val (g, d) = TestUtils.tmfgWithD(TestUtils.randomSim(30, 15), 2)
+    val e = Apsp.edges(g, d)
+    assert(e.g eq g)
+    assert(e.w.length == 2 * g.numEdges)
+  }
+
   test("allPairs matches Floyd-Warshall on random TMFGs") {
     for (seed <- 1L to 3L) {
       val s = TestUtils.randomSim(25, seed)

@@ -74,49 +74,11 @@ class AriSpec extends AnyFunSuite {
     intercept[IllegalArgumentException](Ari.ari(Array(0, 1), Array(0)))
   }
 
-  test("MI of independent uniform labelings is near 0") {
-    val rng = new Random(3)
-    val a = Array.fill(5000)(rng.nextInt(2))
-    val b = Array.fill(5000)(rng.nextInt(2))
-    assert(Ari.mutualInformation(a, b) < 0.01)
-  }
-
-  test("MI of identical labelings equals entropy") {
-    val a = Array(0, 0, 1, 1)
-    val h = math.log(2)
-    assert(math.abs(Ari.mutualInformation(a, a) - h) < 1e-12)
-  }
-
-  test("AMI of identical labelings is 1") {
-    val a = Array(0, 0, 1, 1, 2, 2, 0, 1, 2)
-    assert(math.abs(Ari.ami(a, a) - 1.0) < 1e-9)
-  }
-
-  test("AMI known value (sklearn reference)") {
-    // sklearn.metrics.adjusted_mutual_info_score([0,0,1,1],[0,0,1,2])
-    // with the arithmetic normalizer is ~0.45-0.6; pin the band
-    val a = Array(0, 0, 1, 1)
-    val b = Array(0, 0, 1, 2)
-    val v = Ari.ami(a, b)
-    assert(v > 0.35 && v < 0.7, s"got $v")
-  }
-
-  test("AMI of random labelings is near 0") {
-    val rng = new Random(4)
-    val scores = (1 to 10).map { _ =>
-      val a = Array.fill(300)(rng.nextInt(4))
-      val b = Array.fill(300)(rng.nextInt(4))
-      Ari.ami(a, b)
-    }
-    assert(math.abs(scores.sum / scores.length) < 0.02)
-  }
-
-  test("ARI and AMI agree on perfect and near-random cases directionally") {
+  test("ARI ranks a noisy labeling above a random one") {
     val rng = new Random(5)
     val truth = Array.tabulate(200)(_ % 4)
     val noisy = truth.map(l => if (rng.nextDouble() < 0.2) rng.nextInt(4) else l)
     val rand  = Array.fill(200)(rng.nextInt(4))
     assert(Ari.ari(truth, noisy) > Ari.ari(truth, rand))
-    assert(Ari.ami(truth, noisy) > Ari.ami(truth, rand))
   }
 }

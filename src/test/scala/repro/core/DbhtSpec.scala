@@ -236,7 +236,7 @@ class DbhtSpec extends AnyFunSuite {
     for (seed <- 1L to 6L; n <- Seq(30, 45, 60); prefix <- Seq(1, 4)) {
       val s = TestUtils.randomSim(n, seed)
       val (res, bub, _, _, apsp) = pipeline(s, prefix)
-      val sym = apsp.copy()
+      val sym = TestUtils.copy(apsp)
       for (i <- 0 until n; j <- i + 1 until n) sym.update(i, j, apsp(i, j))
       val (asg, den) = Par.withThreads(4) { par =>
         val asg = Dbht.assign(bub, res.graph, s, sym, par)

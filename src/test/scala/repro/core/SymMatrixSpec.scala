@@ -18,18 +18,6 @@ class SymMatrixSpec extends AnyFunSuite {
     assert(m.rowSum(1) == 1.0)
   }
 
-  test("fromRows round-trips") {
-    val rows = Array(Array(1.0, 2.0), Array(2.0, 3.0))
-    val m = SymMatrix.fromRows(rows)
-    assert(m(0, 0) == 1.0 && m(0, 1) == 2.0 && m(1, 0) == 2.0 && m(1, 1) == 3.0)
-  }
-
-  test("fromRows rejects ragged input") {
-    intercept[IllegalArgumentException] {
-      SymMatrix.fromRows(Array(Array(1.0, 2.0), Array(1.0)))
-    }
-  }
-
   test("wrap rejects wrong-size arrays") {
     intercept[IllegalArgumentException](SymMatrix.wrap(3, new Array[Double](8)))
   }
@@ -46,7 +34,7 @@ class SymMatrixSpec extends AnyFunSuite {
 
   test("copy is independent of the original") {
     val m = TestUtils.randomSim(5, 1)
-    val c = m.copy()
+    val c = TestUtils.copy(m)
     c.update(0, 1, 99.0)
     assert(m(0, 1) != 99.0)
   }

@@ -43,7 +43,7 @@ class TmfgSpec extends AnyFunSuite {
 
   test("every vertex has degree >= 3") {
     val res = build(40, 5)
-    assert((0 until 40).forall(res.graph.degree(_) >= 3))
+    assert((0 until 40).forall(TestUtils.degree(res.graph, _) >= 3))
   }
 
   test("prefix=1 equals the brute-force sequential TMFG (Massara)") {
@@ -248,7 +248,7 @@ class TmfgSpec extends AnyFunSuite {
 
   test("graph is connected") {
     val res = build(45, 9)
-    assert(res.graph.isConnectedExcluding(Set.empty))
+    assert(TestUtils.isConnectedExcluding(res.graph, Set.empty))
   }
 
   test("exact gain ties equal the brute-force batched TMFG, down to lists shorter than K") {

@@ -47,17 +47,44 @@ class WGraphSpec extends AnyFunSuite {
 
   test("isConnectedExcluding: path graph split by middle vertex") {
     val g = WGraph.fromEdges(3, Seq((0, 1), (1, 2)))
-    assert(g.isConnectedExcluding(Set.empty))
-    assert(!g.isConnectedExcluding(Set(1)))
+    assert(TestUtils.isConnectedExcluding(g, Set.empty))
+    assert(!TestUtils.isConnectedExcluding(g, Set(1)))
   }
 
   test("isConnectedExcluding: everything excluded is vacuously connected") {
-    assert(triangle.isConnectedExcluding(Set(0, 1, 2)))
+    assert(TestUtils.isConnectedExcluding(triangle, Set(0, 1, 2)))
   }
 
   test("degree counts neighbors") {
     val g = WGraph.fromEdges(4, Seq((0, 1), (0, 2), (0, 3)))
-    assert(g.degree(0) == 3 && g.degree(3) == 1)
+    assert(TestUtils.degree(g, 0) == 3 && TestUtils.degree(g, 3) == 1)
+  }
+
+  test("fromEdges on arrays equals a set-based reference, with repeats, both orientations and self-loops") {
+    val rng = new scala.util.Random(12)
+    for (n <- Seq(1, 2, 7, 30); m <- Seq(0, 5, 200)) {
+      val us = Array.fill(m)(rng.nextInt(n))
+      val vs = Array.fill(m)(rng.nextInt(n))
+      val g  = WGraph.fromEdges(n, us, vs)
+      val ref = Array.fill(n)(Set.empty[Int])
+      for (i <- 0 until m if us(i) != vs(i)) { ref(us(i)) += vs(i); ref(vs(i)) += us(i) }
+      assert(TestUtils.isCsr(g), s"n=$n m=$m")
+      for (u <- 0 until n) assert(g.adj(u).toSeq == ref(u).toSeq.sorted, s"n=$n m=$m row $u")
+      assert(g.numEdges == ref.map(_.size).sum / 2)
+    }
+  }
+
+  test("fromEdges rejects edge arrays of different lengths") {
+    val e = intercept[IllegalArgumentException](WGraph.fromEdges(3, Array(0, 1), Array(1)))
+    assert(e.getMessage.contains("2 vs 1"))
+  }
+
+  test("TMFG (1 and 4 threads) and PMFG graphs are valid CSR") {
+    val s = TestUtils.randomSim(40, 13)
+    for (threads <- Seq(1, 4); prefix <- Seq(1, 6))
+      assert(TestUtils.isCsr(Par.withThreads(threads)(par => Tmfg.build(s, prefix, par)).graph),
+        s"threads=$threads prefix=$prefix")
+    assert(TestUtils.isCsr(repro.pmfg.Pmfg.build(TestUtils.randomSim(20, 14))))
   }
 
   test("numEdges on a TMFG-size random graph") {

@@ -86,7 +86,7 @@ class GenericBubblesSpec extends AnyFunSuite {
     val res = tmfg(15, 1, 9)
     val g = res.graph
     val separating = GenericBubbles.triangles(g)
-      .filter(t => !g.isConnectedExcluding(t.toSet))
+      .filter(t => !TestUtils.isConnectedExcluding(g, t.toSet))
       .map(_.toSeq).toSet
     val expected = (0 until res.tree.numBubbles)
       .filter(_ != res.tree.root).map(res.tree.sepTri(_).sorted.toSeq).toSet

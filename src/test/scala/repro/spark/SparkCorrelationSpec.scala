@@ -7,7 +7,7 @@ import scala.util.Random
 
 class SparkCorrelationSpec extends SparkSpec {
 
-  test("RowMatrix Gramian correlation matches the kernel pearson") {
+  test("spark correlation of 12 Gaussian series matches the kernel pearson") {
     val rng = new Random(1)
     val rows = Array.fill(12)(Array.fill(40)(rng.nextGaussian()))
     val sparkM  = SparkCorrelation.pearson(spark, rows)
