@@ -20,8 +20,10 @@ object KMeans {
     s
   }
 
-  def fit(points: Array[Array[Double]], k: Int, par: Par,
-          seed: Long = 42, maxIter: Int = 100, tol: Double = 1e-6): Result = {
+  /** k-means++ seeding, then at most 100 Lloyd iterations, stopping once
+    * the cost falls by at most 1e-6 of itself.
+    */
+  def fit(points: Array[Array[Double]], k: Int, par: Par, seed: Long = 42): Result = {
     val n = points.length
     require(k >= 1 && k <= n, s"k=$k must be in [1, $n]")
     val dim = points(0).length
@@ -54,7 +56,7 @@ object KMeans {
     var prevCost = Double.PositiveInfinity
     var iter = 0
     var converged = false
-    while (iter < maxIter && !converged) {
+    while (iter < 100 && !converged) {
       // assign
       val costs = par.parMap(n, grain = 64) { i =>
         var best = 0
@@ -103,7 +105,7 @@ object KMeans {
         c += 1
       }
       iter += 1
-      converged = prevCost - cost <= tol * math.max(1.0, prevCost)
+      converged = prevCost - cost <= 1e-6 * math.max(1.0, prevCost)
       prevCost = cost
     }
     Result(labels, centers, prevCost, iter)

@@ -1,6 +1,6 @@
 package repro.cluster
 
-import repro.core.Par
+import repro.core.{Par, WGraph}
 import scala.util.Random
 
 /** Spectral embedding over a beta-nearest-neighbor graph — the
@@ -33,21 +33,15 @@ object Spectral {
       d(i) = Double.PositiveInfinity
       (0 until n).sortBy(x => (d(x), x)).take(b).toArray
     }
-    // symmetrize: union of i->j and j->i
-    val sets = Array.fill(n)(new java.util.TreeSet[Integer]())
-    for (i <- 0 until n; j <- nbrs(i)) { sets(i).add(j); sets(j).add(i) }
-    sets.map { s =>
-      val a = new Array[Int](s.size)
-      val it = s.iterator()
-      var k = 0
-      while (it.hasNext) { a(k) = it.next().intValue(); k += 1 }
-      a
-    }
+    // symmetrize: union of i->j and j->i, rows ascending
+    val g = WGraph.fromEdges(n, for (i <- 0 until n; j <- nbrs(i)) yield (i, j))
+    Array.tabulate(n)(g.adj)
   }
 
-  /** Rows of the c-dimensional spectral embedding. */
-  def embed(points: Array[Array[Double]], beta: Int, c: Int, par: Par,
-            seed: Long = 7, iters: Int = 120): Array[Array[Double]] = {
+  /** Rows of the c-dimensional spectral embedding: 120 subspace
+    * iterations from a Gaussian basis drawn with seed 7.
+    */
+  def embed(points: Array[Array[Double]], beta: Int, c: Int, par: Par): Array[Array[Double]] = {
     val n   = points.length
     val adj = knnGraph(points, beta, par)
     val deg = adj.map(_.length.toDouble)
@@ -55,12 +49,12 @@ object Spectral {
 
     // subspace iteration on M = D^-1/2 A D^-1/2 (spectrum in [-1, 1]);
     // iterate on (M + I)/2 to damp the negative end
-    val rng = new Random(seed)
+    val rng = new Random(7)
     var basis = Array.fill(c)(Array.fill(n)(rng.nextGaussian()))
     orthonormalize(basis)
     var next = Array.ofDim[Double](c, n)
     var it = 0
-    while (it < iters) {
+    while (it < 120) {
       par.parFor(c) { v =>
         val x = basis(v)
         val y = next(v)

@@ -132,16 +132,6 @@ object Apsp {
     scans
   }
 
-  /** Single-source shortest-path distances over `g` with edge weights
-    * `d(u,v)` (Double.PositiveInfinity if unreachable), from `row`.
-    */
-  def dijkstra(g: WGraph, d: SymMatrix, source: Int): Array[Double] = {
-    val e   = edges(g, d)
-    val out = new Array[Double](g.n)
-    row(e, source, out, 0, new Workspace(e))
-    out
-  }
-
   /** Full APSP matrix, parallel over blocks of `Block` sources. Row u holds
     * the distances summed along paths from u, so the matrix is symmetric
     * only up to rounding: a consumer reads `apsp(u, v)` from u's row.

@@ -186,41 +186,43 @@ object Dbht {
     Assignments(group, bubbleOf, conv)
   }
 
-  /** Complete linkage over `clusters` under the point distance `dist`;
-    * `roots` are the clusters' current node ids and `merge(a, b)` records
-    * one merge of two nodes, in non-decreasing distance order, and returns
-    * the new node's id. Returns the root node.
+  /** Complete linkage over `clusters`, the distance of points a and b
+    * being `d(a * stride + b)`; `roots` are the clusters' current node ids
+    * and `merge(a, b)` records one merge of two nodes, in non-decreasing
+    * distance order, and returns the new node's id. Returns the root node.
     */
-  private def completeLinkage(clusters: Array[Array[Int]], roots: Array[Int], dist: (Int, Int) => Double)
+  private def completeLinkage(clusters: Array[Array[Int]], roots: Array[Int], d: Array[Double], stride: Int)
                              (merge: (Int, Int) => Int): Int = {
     val k = clusters.length
-    val cd = Linkage.clusterDistances(clusters, dist)
+    val cd = Linkage.clusterDistances(clusters, d, stride)
     val node = roots ++ new Array[Int](k - 1)
     for ((mm, t) <- Linkage.agglomerate(k, cd, clusters.map(_.length), Linkage.Complete).zipWithIndex)
       node(k + t) = merge(node(mm.a), node(mm.b))
     node.last
   }
 
-  /** Plan one group's intra-bubble + inter-bubble complete linkage: its
-    * m-1 merges as local-id pairs, merge t at (2t, 2t+1), where ids
-    * 0..m-1 index `members` and m+t is the t-th merge. The intra-bubble
-    * runs come first, by ascending bubble id, then the inter-bubble run;
-    * each run is in non-decreasing distance order, which is the order the
-    * heights of §V-D follow. A pure function of its arguments, so the
-    * group fan-out can run on a thread pool or on a Spark RDD.
+  /** Plan one group of m members from its own data, in local ids 0..m-1:
+    * `bubble(a)` is member a's bubble, `block(a * m + b)` the APSP distance
+    * from a to b, read from a's row. Returns the intra- and inter-bubble
+    * complete linkage as m-1 merges, merge t at (2t, 2t+1), m+t being the
+    * t-th merge: the intra-bubble runs by ascending bubble id, then the
+    * inter-bubble run, each in non-decreasing distance order, the order
+    * the heights of §V-D follow. A pure function, so the group fan-out can
+    * run on a thread pool or on a Spark RDD.
     */
-  def planGroup(members: Array[Int], bubbleOf: Array[Int], apspD: SymMatrix): Array[Int] = {
-    val m = members.length
+  def planGroup(bubble: Array[Int], block: Array[Double]): Array[Int] = {
+    val m = bubble.length
+    require(block.length == m * m, s"a group of $m needs ${m * m} distances, got ${block.length}")
     val pairs = new Array[Int](2 * (m - 1))
     var t = 0
     def link(clusters: Array[Array[Int]], roots: Array[Int]): Int =
-      completeLinkage(clusters, roots, (a, b) => apspD(members(a), members(b))) { (a, b) =>
+      completeLinkage(clusters, roots, block, m) { (a, b) =>
         pairs(2 * t) = a; pairs(2 * t + 1) = b
         t += 1
         m + t - 1
       }
-    // subgroups as indices into `members`, by ascending bubble id
-    val subgroups = members.indices.toArray.groupBy(i => bubbleOf(members(i))).toArray.sortBy(_._1).map(_._2)
+    // subgroups of local ids, by ascending bubble id
+    val subgroups = bubble.indices.toArray.groupBy(bubble(_)).toArray.sortBy(_._1).map(_._2)
     // intra-bubble linkage per subgroup, then inter-bubble across their roots
     val subRoots = subgroups.map(sg => link(sg.map(Array(_)), sg))
     link(subgroups, subRoots)
@@ -235,22 +237,21 @@ object Dbht {
     * planned in parallel on `par`.
     */
   def dendrogram(n: Int, asg: Assignments, apspD: SymMatrix, par: Par): Dendrogram =
-    hierarchy(n, asg, apspD) { groups =>
-      par.parMap(groups.length)(gi => planGroup(groups(gi), asg.bubble, apspD))
-    }
+    hierarchy(n, asg, apspD)(gs => par.parMap(gs.length)(i => (planGroup _).tupled(gs(i))))
 
   /** `dendrogram` with the group fan-out left to `planAll`: given the
-    * members of every group, in ascending group id, it returns `planGroup`
-    * of each, in order. `dendrogram` fans out on a `Par`,
-    * `repro.spark.SparkPipeline.dendrogram` on an RDD. The plans go into
+    * `planGroup` arguments of every group, in ascending group id, it
+    * returns their plans in order (`dendrogram` on a `Par`,
+    * `repro.spark.SparkPipeline.dendrogram` on an RDD). The plans go into
     * one builder, merge t of a group of m at height 1/(m-1-t); the groups
-    * then join by complete linkage.
+    * then join by complete linkage over the APSP rows.
     */
   def hierarchy(n: Int, asg: Assignments, apspD: SymMatrix)
-               (planAll: Array[Array[Int]] => Array[Array[Int]]): Dendrogram = {
+               (planAll: Array[(Array[Int], Array[Double])] => Array[Array[Int]]): Dendrogram = {
     val groups = groupMembers(asg.group, asg.group.max + 1).filter(_.nonEmpty)
+    val plans = planAll(groups.map(ms => (ms.map(asg.bubble), ms.flatMap(a => ms.map(apspD(a, _))))))
     val builder = new DendroBuilder(n)
-    val groupRoots = groups.zip(planAll(groups)).map { case (members, pairs) =>
+    val groupRoots = groups.zip(plans).map { case (members, pairs) =>
       val m = members.length
       val node = members ++ new Array[Int](m - 1) // local -> global id
       for (t <- 0 until m - 1)
@@ -261,7 +262,7 @@ object Dbht {
     // converging bubbles (groups) among descendants
     val groupsUnder = new Array[Int](2 * n - 1)
     groupRoots.foreach(groupsUnder(_) = 1)
-    completeLinkage(groups, groupRoots, apspD(_, _)) { (a, b) =>
+    completeLinkage(groups, groupRoots, apspD.data, apspD.n) { (a, b) =>
       val c = groupsUnder(a) + groupsUnder(b)
       val id = builder.merge(a, b, c.toDouble)
       groupsUnder(id) = c

@@ -111,35 +111,38 @@ object Linkage {
   }
 
   /** Complete-linkage cluster-distance matrix between groups of points
-    * (flat k x k, symmetric): the largest `pointDist(a, b)` over a in
-    * group i and b in group j, for i < j.
+    * (flat k x k, symmetric): for clusters i < j, the largest
+    * `d(a * stride + b)` over a in cluster i and b in cluster j, so each
+    * pair is read from the row of the earlier cluster's point. The loops
+    * run i, a, j, b: a point's row is read once for all later clusters.
+    * Sequential: it runs inside the DBHT group fan-out, where a nested
+    * `parFor` on the same fixed pool could deadlock.
     */
-  def clusterDistances(members: Array[Array[Int]], pointDist: (Int, Int) => Double): Array[Double] = {
+  def clusterDistances(members: Array[Array[Int]], d: Array[Double], stride: Int): Array[Double] = {
     val k = members.length
-    val d = new Array[Double](k * k)
+    val out = new Array[Double](k * k)
     var i = 0
     while (i < k) {
-      var j = i + 1
-      while (j < k) {
-        var acc = Double.NegativeInfinity
-        val mi = members(i); val mj = members(j)
-        var a = 0
-        while (a < mi.length) {
+      java.util.Arrays.fill(out, i * k + i + 1, i * k + k, Double.NegativeInfinity)
+      val mi = members(i)
+      var a = 0
+      while (a < mi.length) {
+        val row = mi(a) * stride
+        var j = i + 1
+        while (j < k) {
+          val mj = members(j)
+          var acc = out(i * k + j)
           var b = 0
-          while (b < mj.length) {
-            val dd = pointDist(mi(a), mj(b))
-            if (dd > acc) acc = dd
-            b += 1
-          }
-          a += 1
+          while (b < mj.length) { val x = d(row + mj(b)); if (x > acc) acc = x; b += 1 }
+          out(i * k + j) = acc
+          j += 1
         }
-        d(i * k + j) = acc
-        d(j * k + i) = acc
-        j += 1
+        a += 1
       }
+      for (j <- i + 1 until k) out(j * k + i) = out(i * k + j)
       i += 1
     }
-    d
+    out
   }
 
   /** Full HAC over n points given their n x n distance matrix; returns a

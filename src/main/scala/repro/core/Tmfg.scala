@@ -184,17 +184,6 @@ object Tmfg {
     if (len == K) Candidates(vs, gs) else Candidates(vs.take(len), gs.take(len))
   }
 
-  /** One GAINS entry of Algorithm 1: the head of the face's candidate
-    * list, the remaining vertex with the largest gain to the face (a, b,
-    * c), ties to the smaller vertex, and that gain; (-1, -inf) when no
-    * vertex remains.
-    */
-  def bestVertex(sd: Array[Double], n: Int, a: Int, b: Int, c: Int,
-                 rem: Array[Int], remCount: Int): (Int, Double) = {
-    val l = candidates(sd, n, a, b, c, rem, remCount)
-    if (l.verts.isEmpty) (-1, Double.NegativeInfinity) else (l.verts(0), l.gains(0))
-  }
-
   /** Fails unless a TMFG over n vertices exists (n >= 4). */
   def checkN(n: Int): Unit = require(n >= 4, s"TMFG needs at least 4 vertices, got $n")
 

@@ -30,19 +30,18 @@ object TimeSeriesGen {
     * mixed with per-instance coefficients, so intra-class correlations
     * are spread out rather than uniform (uniform blocks produce mass
     * gain-ties that exaggerate batched-TMFG degradation); instance noise
-    * levels jitter; and a small `outlierFrac` of instances get several
-    * times the noise, which is what breaks complete/average linkage on
-    * real data (the paper's COMP/AVG failures on small-k datasets).
+    * levels jitter; and 5% of instances get 4x the noise, which is what
+    * breaks complete/average linkage on real data (the paper's COMP/AVG
+    * failures on small-k datasets). Each class shape has 4 random Fourier
+    * components.
     *
     * @param noise     std-dev of additive noise relative to unit-variance shapes
-    * @param harmonics number of random Fourier components per class shape
-    * @param outlierFrac fraction of instances with ~4x noise
     */
   def make(name: String, n: Int, len: Int, classes: Int,
-           noise: Double, seed: Long = 1, harmonics: Int = 4,
-           outlierFrac: Double = 0.05): Dataset = {
+           noise: Double, seed: Long = 1): Dataset = {
     require(classes >= 1 && classes <= n, s"classes=$classes must be in [1, $n]")
     val rng = new Random(seed)
+    val harmonics = 4
 
     def randomShape(): Array[Double] = {
       val amp   = Array.fill(harmonics)(rng.nextGaussian())
@@ -78,7 +77,7 @@ object TimeSeriesGen {
       val g1    = rng.nextGaussian() * 0.45
       val g2    = rng.nextGaussian() * 0.45
       val shift = rng.nextInt(1 + len / 50) // small phase jitter
-      val isOutlier = rng.nextDouble() < outlierFrac
+      val isOutlier = rng.nextDouble() < 0.05
       val sigma = noise * (0.6 + 0.8 * rng.nextDouble()) * (if (isOutlier) 4.0 else 1.0)
       Array.tabulate(len) { t =>
         val tt = (t + shift) % len
@@ -92,13 +91,13 @@ object TimeSeriesGen {
   /** Synthetic US-stock daily-return panel with sector ground truth: a
     * one-factor-per-sector model plus a market factor,
     * r_i(t) = a_i * market(t) + b_i * f_sector(i)(t) + sigma * eps. Both
-    * factors are AR(1). Stand-in for the paper's 1614-ticker / 11-sector
-    * Yahoo Finance panel.
+    * factors are AR(1). The loadings scale with a market beta of 0.8 and
+    * a sector beta of 0.65, the noise with 1.5, and 15% of the tickers
+    * load on a second sector. Stand-in for the paper's 1614-ticker /
+    * 11-sector Yahoo Finance panel.
     */
-  def stocks(n: Int = 400, sectors: Int = 11, days: Int = 504,
-             marketBeta: Double = 0.8, sectorBeta: Double = 0.65,
-             idio: Double = 1.5, mixedFrac: Double = 0.15,
-             seed: Long = 2023): Dataset = {
+  def stocks(n: Int = 400, sectors: Int = 11, days: Int = 504, seed: Long = 2023): Dataset = {
+    val (marketBeta, sectorBeta, idio, mixedFrac) = (0.8, 0.65, 1.5, 0.15)
     val rng = new Random(seed)
     def ar1(len: Int, rho: Double): Array[Double] = {
       val x = new Array[Double](len)

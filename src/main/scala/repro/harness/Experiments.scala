@@ -38,8 +38,8 @@ object Experiments {
   /** Fig. 3: runtimes of all hierarchical methods per dataset, single
     * thread and all threads.
     */
-  def t1(specs: Seq[Datasets.Spec] = Datasets.specs): Seq[T1Row] = {
-    val rows = specs.map { sp =>
+  def t1(): Seq[T1Row] = {
+    val rows = Datasets.specs.map { sp =>
       val ds = sp.generate()
       val (s, d) = Par.withThreads(maxThreads)(par => Methods.correlationInput(ds, par))
       val k = sp.classes
@@ -84,14 +84,13 @@ object Experiments {
   /** Fig. 4: self-relative speedup vs thread count per prefix size on the
     * largest (crop-like) dataset.
     */
-  def t2(spec: Datasets.Spec = Datasets.byId(17),
-         prefixes: Seq[Int] = Seq(1, 10, 50, 200),
-         threadCounts: Seq[Int] = Seq(1, 2, 4, 8, 16)): Seq[T2Row] = {
+  def t2(): Seq[T2Row] = {
+    val spec = Datasets.byId(17)
     val ds = spec.generate()
     val (s, d) = Par.withThreads(maxThreads)(par => Methods.correlationInput(ds, par))
     val k = spec.classes
-    val rows = for (prefix <- prefixes) yield {
-      val times = threadCounts.filter(_ <= maxThreads).map { t =>
+    val rows = for (prefix <- Seq(1, 10, 50, 200)) yield {
+      val times = Seq(1, 2, 4, 8, 16).filter(_ <= maxThreads).map { t =>
         // best of two runs to suppress JIT/GC noise
         val tt = (1 to 2).map { _ =>
           Par.withThreads(t)(par => Methods.parTdbht(s, d, prefix, k, par)).timings.total
@@ -117,7 +116,8 @@ object Experiments {
   /** Fig. 5 + Runtime Decomposition: per-step times on the ECG-like
     * dataset for SEQ-TDBHT and PAR-TDBHT at several prefixes/threads.
     */
-  def t3(spec: Datasets.Spec = Datasets.byId(6)): Seq[T3Row] = {
+  def t3(): Seq[T3Row] = {
+    val spec = Datasets.byId(6)
     val ds = spec.generate()
     val (s, d) = Par.withThreads(maxThreads)(par => Methods.correlationInput(ds, par))
     val k = spec.classes
@@ -146,9 +146,9 @@ object Experiments {
   final case class T4Row(id: Int, prefix: Int, ari: Double)
 
   /** Fig. 6: clustering quality (ARI) vs prefix size per dataset. */
-  def t4(specs: Seq[Datasets.Spec] = Datasets.specs,
-         prefixes: Seq[Int] = Seq(1, 2, 5, 10, 30, 50, 200)): Seq[T4Row] = {
-    val rows = for (sp <- specs) yield {
+  def t4(): Seq[T4Row] = {
+    val prefixes = Seq(1, 2, 5, 10, 30, 50, 200)
+    val rows = for (sp <- Datasets.specs) yield {
       val ds = sp.generate()
       val (s, d) = Par.withThreads(maxThreads)(par => Methods.correlationInput(ds, par))
       prefixes.map { prefix =>
@@ -169,9 +169,9 @@ object Experiments {
   /** Fig. 7 + §VII-B: edge-weight-sum ratio of prefix-p TMFG vs the exact
     * TMFG (prefix 1), and vs the PMFG where the PMFG is feasible.
     */
-  def t5(specs: Seq[Datasets.Spec] = Datasets.specs,
-         prefixes: Seq[Int] = Seq(2, 5, 10, 30, 50, 200)): Seq[T5Row] = {
-    val rows = for (sp <- specs) yield {
+  def t5(): Seq[T5Row] = {
+    val prefixes = Seq(2, 5, 10, 30, 50, 200)
+    val rows = for (sp <- Datasets.specs) yield {
       val ds = sp.generate()
       val (s, _) = Par.withThreads(maxThreads)(par => Methods.correlationInput(ds, par))
       val exact = Par.withThreads(maxThreads)(par => Tmfg.build(s, 1, par)).graph.totalWeight(s)
@@ -198,9 +198,8 @@ object Experiments {
   /** Fig. 8: ARI of every method per dataset. K-MEANS-S sweeps beta and
     * reports the best, as the paper does.
     */
-  def t6(specs: Seq[Datasets.Spec] = Datasets.specs,
-         betas: Seq[Int] = Seq(10, 20, 40, 80)): Seq[T6Row] = {
-    val rows = for (sp <- specs) yield {
+  def t6(): Seq[T6Row] = {
+    val rows = for (sp <- Datasets.specs) yield {
       val ds = sp.generate()
       val (s, d) = Par.withThreads(maxThreads)(par => Methods.correlationInput(ds, par))
       val k = sp.classes
@@ -216,7 +215,7 @@ object Experiments {
       out("AVG") = score(Methods.hacBaseline(d, k, Linkage.Average).labels)
       out("K-MEANS") = score(
         Par.withThreads(maxThreads)(par => Methods.kmeans(ds.data, k, par)._1))
-      out("K-MEANS-S") = betas.filter(_ < sp.n).map { b =>
+      out("K-MEANS-S") = Seq(10, 20, 40, 80).filter(_ < sp.n).map { b =>
         score(Par.withThreads(maxThreads)(par => Methods.kmeansSpectral(ds.data, k, b, par)._1))
       }.max
       out.map { case (m, a) => T6Row(sp.id, m, a) }.toSeq
@@ -234,9 +233,9 @@ object Experiments {
   final case class T7Row(id: Int, beta: Int, ari: Double)
 
   /** Fig. 9: K-MEANS-S sensitivity to beta. */
-  def t7(specs: Seq[Datasets.Spec] = Datasets.specs.filter(s => Seq(6, 11, 15, 17).contains(s.id)),
-         betas: Seq[Int] = Seq(5, 10, 15, 20, 30, 40, 60, 80, 120)): Seq[T7Row] = {
-    val rows = for (sp <- specs) yield {
+  def t7(): Seq[T7Row] = {
+    val betas = Seq(5, 10, 15, 20, 30, 40, 60, 80, 120)
+    val rows = for (sp <- Seq(6, 11, 15, 17).map(Datasets.byId)) yield {
       val ds = sp.generate()
       betas.filter(_ < sp.n).map { b =>
         val labels = Par.withThreads(maxThreads)(par =>
@@ -263,10 +262,11 @@ object Experiments {
     * panel, spectral embedding preprocessing (as the paper does), then
     * PAR-TDBHT with prefix 30 vs the exact TMFG (prefix 1).
     */
-  def t8(n: Int = 800, sectors: Int = 11, days: Int = 504, beta: Int = 40): T8Result = {
-    val ds = TimeSeriesGen.stocks(n, sectors, days)
+  def t8(): T8Result = {
+    val sectors = 11
+    val ds = TimeSeriesGen.stocks(800, sectors, 504)
     val (p30, p1, table) = Par.withThreads(maxThreads) { par =>
-      val emb = repro.cluster.Spectral.embed(ds.data, beta, sectors, par)
+      val emb = repro.cluster.Spectral.embed(ds.data, 40, sectors, par)
       val s = Correlation.pearson(emb, par)
       val d = Correlation.dissimilarity(s, par)
       val r30 = Methods.parTdbht(s, d, 30, sectors, par)

@@ -81,21 +81,20 @@ object Methods {
     * on normalized shapes (and the correlation-based methods see
     * normalized input by construction).
     */
-  def kmeans(data: Array[Array[Double]], k: Int, par: Par, seed: Long = 42): (Array[Int], Double) = {
+  def kmeans(data: Array[Array[Double]], k: Int, par: Par): (Array[Int], Double) = {
     val z = Correlation.zscore(data)
-    val (r, t) = timed(KMeans.fit(z, k, par, seed))
+    val (r, t) = timed(KMeans.fit(z, k, par))
     (r.labels, t)
   }
 
   /** K-MEANS-S baseline: beta-NN spectral embedding to c dims + k-means,
     * over z-scored series (see `kmeans`).
     */
-  def kmeansSpectral(data: Array[Array[Double]], k: Int, beta: Int, par: Par,
-                     seed: Long = 42): (Array[Int], Double) = {
+  def kmeansSpectral(data: Array[Array[Double]], k: Int, beta: Int, par: Par): (Array[Int], Double) = {
     val z = Correlation.zscore(data)
     val (labels, t) = timed {
       val emb = Spectral.embed(z, beta, k, par)
-      KMeans.fit(emb, k, par, seed).labels
+      KMeans.fit(emb, k, par).labels
     }
     (labels, t)
   }

@@ -1,5 +1,6 @@
 package repro.pmfg
 
+import repro.core.WGraph
 import scala.collection.mutable.{ArrayBuffer, LongMap}
 
 /** Left-right planarity test (Brandes' LR criterion, the algorithm behind
@@ -18,18 +19,11 @@ object Planarity {
     * planar? Self-loops are ignored; parallel edges collapse.
     */
   def isPlanar(n: Int, edges: Iterable[(Int, Int)]): Boolean = {
-    val adjB = Array.fill(n)(new ArrayBuffer[Int]())
-    var m = 0
-    val seen = new java.util.HashSet[Long]()
-    for ((u, v) <- edges if u != v) {
-      val key = math.min(u, v).toLong * n + math.max(u, v)
-      if (seen.add(key)) {
-        adjB(u) += v; adjB(v) += u; m += 1
-      }
-    }
+    val g = WGraph.fromEdges(n, edges)
+    val m = g.numEdges
     if (n > 2 && m > 3 * n - 6) return false
     if (n <= 3 || m <= 3) return true
-    new LR(n, adjB.map(_.toArray)).run()
+    new LR(n, Array.tabulate(n)(g.adj)).run()
   }
 
   // encode directed edge (v, w) as v * n + w

@@ -1,6 +1,6 @@
 package repro.spark
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.SparkSession
 import repro.core.{Correlation, SymMatrix}
 
 /** Distributed Pearson-correlation matrix.
@@ -36,15 +36,5 @@ object SparkCorrelation {
     // after every strip is in place: a block mirrors into later rows
     for (b <- 0 until nb) Correlation.mirrorBlock(m.data, n, b)
     m
-  }
-
-  /** The same series as a DataFrame of (series, t, value) rows, for the
-    * DuckDB-oracle tests (corr() in SQL).
-    */
-  def seriesDf(spark: SparkSession, rows: Array[Array[Double]]): DataFrame = {
-    import spark.implicits._
-    rows.zipWithIndex.flatMap { case (r, i) =>
-      r.zipWithIndex.map { case (v, t) => (i, t, v) }
-    }.toSeq.toDF("series", "t", "value")
   }
 }

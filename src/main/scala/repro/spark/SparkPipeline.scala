@@ -20,24 +20,17 @@ object SparkPipeline {
                                   graph: WGraph, rounds: Int)
 
   /** Distributed per-group dendrogram planning (Algorithm 4 Lines 24-33):
-    * `Dbht.hierarchy` with the groups fanned out over an RDD; the APSP
-    * matrix and the bubble assignment ship as broadcasts, and each group's
-    * plan comes back as its merge pairs.
+    * `Dbht.hierarchy` with the groups fanned out over an RDD; each task
+    * gets its group's bubbles and APSP block, and each group's plan comes
+    * back as its merge pairs.
     */
   def dendrogram(spark: SparkSession, n: Int, asg: Dbht.Assignments,
-                 apspD: SymMatrix): Dendrogram = {
-    val sc = spark.sparkContext
-    val bApsp   = sc.broadcast(apspD.data)
-    val bBubble = sc.broadcast(asg.bubble)
-    try Dbht.hierarchy(n, asg, apspD) { groups =>
-      sc.parallelize(groups.toIndexedSeq, math.min(64, math.max(1, groups.length)))
-        .map(members => Dbht.planGroup(members, bBubble.value, SymMatrix.wrap(n, bApsp.value)))
+                 apspD: SymMatrix): Dendrogram =
+    Dbht.hierarchy(n, asg, apspD) { groups =>
+      spark.sparkContext.parallelize(groups.toIndexedSeq, math.min(64, math.max(1, groups.length)))
+        .map((Dbht.planGroup _).tupled)
         .collect()
-    } finally {
-      bApsp.destroy()
-      bBubble.destroy()
     }
-  }
 
   /** Full pipeline from raw series to flat clusters (cut at k; a k
     * outside 1..n or fewer than 4 series fail before any stage runs).

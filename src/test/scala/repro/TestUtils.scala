@@ -202,6 +202,28 @@ object TestUtils {
     seen.size == g.n
   }
 
+  /** The m x m block of `apsp` over `members`: entry a * m + b is
+    * `apsp(members(a), members(b))`, read from row `members(a)`.
+    */
+  def block(apsp: SymMatrix, members: Array[Int]): Array[Double] =
+    for (a <- members; b <- members) yield apsp(a, b)
+
+  /** The head of `Tmfg.candidates`: the best remaining vertex of face
+    * (a, b, c), ties to the smaller vertex, and its gain; (-1, -inf) if none.
+    */
+  def bestVertex(sd: Array[Double], n: Int, a: Int, b: Int, c: Int, rem: Array[Int], remCount: Int): (Int, Double) = {
+    val l = Tmfg.candidates(sd, n, a, b, c, rem, remCount)
+    if (l.verts.isEmpty) (-1, Double.NegativeInfinity) else (l.verts(0), l.gains(0))
+  }
+
+  /** The kernel's distances from `source`: `Apsp.row` into a new array. */
+  def sssp(g: WGraph, d: SymMatrix, source: Int): Array[Double] = {
+    val e = Apsp.edges(g, d)
+    val out = new Array[Double](g.n)
+    Apsp.row(e, source, out, 0, new Apsp.Workspace(e))
+    out
+  }
+
   /** An independent copy of `m`. */
   def copy(m: SymMatrix): SymMatrix = SymMatrix.wrap(m.n, m.data.clone())
 

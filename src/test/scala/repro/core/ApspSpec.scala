@@ -9,7 +9,7 @@ class ApspSpec extends AnyFunSuite {
     val g = WGraph.fromEdges(4, Seq((0, 1), (1, 2), (2, 3)))
     val d = SymMatrix.zeros(4)
     d.update(0, 1, 1.0); d.update(1, 2, 2.0); d.update(2, 3, 3.0)
-    val dist = Apsp.dijkstra(g, d, 0)
+    val dist = TestUtils.sssp(g, d, 0)
     assert(dist.toSeq == Seq(0.0, 1.0, 3.0, 6.0))
   }
 
@@ -17,14 +17,14 @@ class ApspSpec extends AnyFunSuite {
     val g = WGraph.fromEdges(3, Seq((0, 1), (1, 2), (0, 2)))
     val d = SymMatrix.zeros(3)
     d.update(0, 1, 1.0); d.update(1, 2, 1.0); d.update(0, 2, 5.0)
-    assert(Apsp.dijkstra(g, d, 0)(2) == 2.0)
+    assert(TestUtils.sssp(g, d, 0)(2) == 2.0)
   }
 
   test("unreachable vertices get +inf") {
     val g = WGraph.fromEdges(4, Seq((0, 1), (2, 3)))
     val d = SymMatrix.zeros(4)
     d.update(0, 1, 1.0); d.update(2, 3, 1.0)
-    val dist = Apsp.dijkstra(g, d, 0)
+    val dist = TestUtils.sssp(g, d, 0)
     assert(dist(2).isPosInfinity && dist(3).isPosInfinity)
   }
 
@@ -85,7 +85,7 @@ class ApspSpec extends AnyFunSuite {
   }
 
   /** `allPairs` at 1 and 4 threads equals the reference Dijkstra's rows
-    * bit for bit, and so does the single-source `dijkstra`.
+    * bit for bit, and so does the single-source `TestUtils.sssp`.
     */
   private def assertBitExact(g: WGraph, d: SymMatrix, what: String): Unit = {
     val ref = TestUtils.dijkstraRows(g, d)
@@ -95,7 +95,7 @@ class ApspSpec extends AnyFunSuite {
       assert(apsp.data.sameElements(flat), s"$what, $threads threads")
     }
     for (src <- Seq(0, g.n / 2, g.n - 1))
-      assert(Apsp.dijkstra(g, d, src).sameElements(ref(src)), s"$what, dijkstra from $src")
+      assert(TestUtils.sssp(g, d, src).sameElements(ref(src)), s"$what, dijkstra from $src")
   }
 
   test("bit-identical to the reference Dijkstra on random TMFGs") {
@@ -131,7 +131,7 @@ class ApspSpec extends AnyFunSuite {
     val d = SymMatrix.zeros(n)
     for (i <- 0 until n - 1) d.update(i, i + 1, if (i % 2 == 0) 1.0 else 64.0)
     val e = Apsp.edges(g, d)
-    assert(Apsp.dijkstra(g, d, 0)(n - 1) / e.delta > 100 * e.ring)
+    assert(TestUtils.sssp(g, d, 0)(n - 1) / e.delta > 100 * e.ring)
     assertBitExact(g, d, "path")
   }
 
@@ -171,7 +171,7 @@ class ApspSpec extends AnyFunSuite {
       d.update(u, v, bad)
       val err = intercept[IllegalArgumentException](Par.withThreads(2)(par => Apsp.allPairs(g, d, par)))
       assert(err.getMessage.contains(s"edge ($u, $v) has dissimilarity $what"), err.getMessage)
-      assert(intercept[IllegalArgumentException](Apsp.dijkstra(g, d, 0)).getMessage == err.getMessage)
+      assert(intercept[IllegalArgumentException](TestUtils.sssp(g, d, 0)).getMessage == err.getMessage)
     }
 
   test("all-zero weights: 0 within a component, +inf across components") {

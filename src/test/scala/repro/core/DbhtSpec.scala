@@ -246,7 +246,7 @@ class DbhtSpec extends AnyFunSuite {
       for (members <- (0 until n).groupBy(asg.group).toSeq.sortBy(_._1).map(_._2.toArray)) {
         val where = s"seed=$seed n=$n prefix=$prefix group of ${members.mkString(",")}"
         val m = members.length
-        val pairs = Dbht.planGroup(members, asg.bubble, sym)
+        val pairs = Dbht.planGroup(members.map(asg.bubble), TestUtils.block(sym, members))
         assert(pairs.length == 2 * (m - 1), where)
         val leaves = Array.tabulate(m)(Set(_)).toBuffer
         // each merge as (bubble id of an intra-bubble merge, or -1 for an

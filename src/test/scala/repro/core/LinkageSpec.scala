@@ -79,9 +79,24 @@ class LinkageSpec extends AnyFunSuite {
   test("clusterDistances = max pairwise") {
     val members = Array(Array(0, 1), Array(2, 3, 4))
     def pd(a: Int, b: Int): Double = (a * 5 + b).toDouble
-    val comp = Linkage.clusterDistances(members, pd)
+    val comp = Linkage.clusterDistances(members, Array.tabulate(25)(_.toDouble), 5)
     val pairs = for (x <- members(0); y <- members(1)) yield pd(x, y)
     assert(comp(0 * 2 + 1) == pairs.max)
+
+    // asymmetric, d(a, b) != d(b, a), with one +inf entry: each pair is
+    // read from the row of the earlier cluster's point
+    val d = Array.tabulate(25)(x => 10.0 * (x / 5) + x % 5)
+    d(3 * 5 + 4) = Double.PositiveInfinity
+    val ms = Array(Array(3, 0), Array(4, 1), Array(2))
+    val k = ms.length
+    val cd = Linkage.clusterDistances(ms, d, 5)
+    for (i <- 0 until k; j <- i + 1 until k) {
+      val fromEarlier = (for (a <- ms(i); b <- ms(j)) yield d(a * 5 + b)).max
+      val fromLater = (for (a <- ms(i); b <- ms(j)) yield d(b * 5 + a)).max
+      assert(fromEarlier != fromLater, s"clusters $i, $j")
+      assert(cd(i * k + j) == fromEarlier && cd(j * k + i) == fromEarlier, s"clusters $i, $j")
+    }
+    assert(cd(0 * k + 1).isPosInfinity && d(4 * 5 + 3) == 43.0)
   }
 
   test("hac dendrogram is monotone and cuts into k clusters") {

@@ -77,7 +77,7 @@ class PropertySpec extends AnyFunSuite {
       val s = TestUtils.randomSim(n, seed)
       val d = Correlation.dissimilarity(s)
       val g = Par.withThreads(2)(par => Tmfg.build(s, 1, par)).graph
-      val row = Apsp.dijkstra(g, d, 0)
+      val row = TestUtils.sssp(g, d, 0)
       g.edges.forall { case (u, v) =>
         row(v) <= row(u) + d(u, v) + 1e-9 && row(u) <= row(v) + d(u, v) + 1e-9
       }

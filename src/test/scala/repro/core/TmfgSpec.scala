@@ -122,7 +122,7 @@ class TmfgSpec extends AnyFunSuite {
       val expected = (rem.filter(gain(_) == top).min, top)
       for (_ <- 0 until 5) {
         val shuffled = rng.shuffle(rem.toVector).toArray
-        assert(Tmfg.bestVertex(s.data, n, a, b, c, shuffled, shuffled.length) == expected)
+        assert(TestUtils.bestVertex(s.data, n, a, b, c, shuffled, shuffled.length) == expected)
       }
     }
   }
@@ -131,21 +131,21 @@ class TmfgSpec extends AnyFunSuite {
     val s = SymMatrix.zeros(8)
     s.update(0, 3, 0.5); s.update(1, 5, 0.5); s.update(2, 7, 0.25)
     for (rem <- Seq(Array(5, 3, 7, 6), Array(6, 7, 3, 5), Array(3, 5)))
-      assert(Tmfg.bestVertex(s.data, 8, 0, 1, 2, rem, rem.length) == ((3, 0.5)), rem.toSeq)
+      assert(TestUtils.bestVertex(s.data, 8, 0, 1, 2, rem, rem.length) == ((3, 0.5)), rem.toSeq)
   }
 
   test("bestVertex ignores entries at or past remCount") {
     val s = SymMatrix.zeros(8)
     s.update(0, 4, 0.1); s.update(0, 5, 0.2); s.update(0, 6, 0.9); s.update(0, 7, 0.8)
-    assert(Tmfg.bestVertex(s.data, 8, 0, 1, 2, Array(4, 5, 6, 7), 2) == ((5, 0.2)))
-    assert(Tmfg.bestVertex(s.data, 8, 0, 1, 2, Array(4, 5, 6, 7), 3) == ((6, 0.9)))
+    assert(TestUtils.bestVertex(s.data, 8, 0, 1, 2, Array(4, 5, 6, 7), 2) == ((5, 0.2)))
+    assert(TestUtils.bestVertex(s.data, 8, 0, 1, 2, Array(4, 5, 6, 7), 3) == ((6, 0.9)))
   }
 
   test("bestVertex over no remaining vertex is (-1, -inf)") {
     val s = TestUtils.randomSim(6, 1)
     val none = (-1, Double.NegativeInfinity)
-    assert(Tmfg.bestVertex(s.data, 6, 0, 1, 2, Array.empty[Int], 0) == none)
-    assert(Tmfg.bestVertex(s.data, 6, 0, 1, 2, Array(3, 4, 5), 0) == none)
+    assert(TestUtils.bestVertex(s.data, 6, 0, 1, 2, Array.empty[Int], 0) == none)
+    assert(TestUtils.bestVertex(s.data, 6, 0, 1, 2, Array(3, 4, 5), 0) == none)
   }
 
   test("result is independent of thread count") {

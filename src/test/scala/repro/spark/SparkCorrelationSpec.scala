@@ -2,6 +2,7 @@ package repro.spark
 
 import repro.{Oracle, SparkSpec}
 import repro.core.{Correlation, Par}
+import org.apache.spark.sql.DataFrame
 import repro.data.TimeSeriesGen
 import scala.util.Random
 
@@ -39,7 +40,7 @@ class SparkCorrelationSpec extends SparkSpec {
     val rng = new Random(3)
     val rows = Array.fill(5)(Array.fill(30)(rng.nextGaussian()))
     val kernelM = Par.withThreads(2)(par => Correlation.pearson(rows, par))
-    val df = SparkCorrelation.seriesDf(spark, rows)
+    val df = seriesDf(rows)
 
     // pairwise correlations computed in Spark SQL from the long-format
     // table; the oracle re-runs the same SQL on DuckDB and diffs rows
@@ -58,5 +59,11 @@ class SparkCorrelationSpec extends SparkSpec {
       val i = r.getInt(0); val j = r.getInt(1); val c = r.getDouble(2)
       assert(math.abs(c - kernelM(i, j)) < 1e-6, s"($i,$j)")
     }
+  }
+
+  /** The series as (series, t, value) rows, for the DuckDB oracle. */
+  private def seriesDf(rows: Array[Array[Double]]): DataFrame = {
+    import spark.implicits._
+    (for ((r, i) <- rows.zipWithIndex; (v, t) <- r.zipWithIndex) yield (i, t, v)).toSeq.toDF("series", "t", "value")
   }
 }
