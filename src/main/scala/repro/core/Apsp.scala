@@ -24,7 +24,7 @@ object Apsp {
   /** The graph `g` weighted by D: `w(k) = d(u, g.nbr(k))` for vertex u's
     * neighbour `g.nbr(k)`, `k` in `g.off(u) until g.off(u + 1)`. The
     * topology is `g`'s own CSR arrays, not a copy. O(n) for the planar
-    * TMFG, which is why Spark broadcasts it.
+    * TMFG, which is why `allPairs` shares it with every task.
     *
     * `delta` is the bucket width Δ = max(w_min, w_max / 64), or 1 when
     * every weight is 0. A scan pushes a vertex at most ⌊w_max/Δ⌋ + 1
@@ -132,19 +132,23 @@ object Apsp {
     scans
   }
 
-  /** Full APSP matrix, parallel over blocks of `Block` sources. Row u holds
-    * the distances summed along paths from u, so the matrix is symmetric
-    * only up to rounding: a consumer reads `apsp(u, v)` from u's row.
+  /** Full APSP matrix, one task per block of `Block` sources on `exec`,
+    * with the `Edges` shared. Row u holds the distances summed along paths
+    * from u, so the matrix is symmetric only up to rounding: a consumer
+    * reads `apsp(u, v)` from u's row.
     */
-  def allPairs(g: WGraph, d: SymMatrix, par: Par): SymMatrix = {
+  def allPairs(g: WGraph, d: SymMatrix, exec: Exec): SymMatrix = {
     val n   = g.n
-    val e   = edges(g, d)
     val out = SymMatrix.zeros(n)
-    par.parFor((n + Block - 1) / Block) { b =>
-      val work = new Workspace(e)
-      var src = b * Block
-      val end = math.min(n, src + Block)
-      while (src < end) { row(e, src, out.data, src * n, work); src += 1 }
+    exec.share(edges(g, d)) { es =>
+      exec.fillRows(out.data, n, (n + Block - 1) / Block)(b => (b * Block, math.min(n, (b + 1) * Block))) {
+        (b, buf, off) =>
+          val e    = es()
+          val work = new Workspace(e)
+          var src = b * Block
+          val end = math.min(n, src + Block)
+          while (src < end) { row(e, src, buf, src * n - off, work); src += 1 }
+      }(_ => ())
     }
     out
   }

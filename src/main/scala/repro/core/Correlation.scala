@@ -53,16 +53,17 @@ object Correlation {
   def blockRows(n: Int, b: Int): (Int, Int) = (b * RowBlock, math.min(n, (b + 1) * RowBlock))
 
   /** Full Pearson correlation matrix of the given series (rows = objects).
-    * Diagonal is 1. Parallel over blocks of `RowBlock` rows via `par`:
-    * each block runs `upperBlock` then `mirrorBlock` on the output.
+    * Diagonal is 1. One task per block of `RowBlock` rows on `exec`, with
+    * the z-scored series shared: each block runs `upperBlock`, then
+    * `mirrorBlock` on the output.
     */
-  def pearson(rows: Array[Array[Double]], par: Par): SymMatrix = {
+  def pearson(rows: Array[Array[Double]], exec: Exec): SymMatrix = {
     val z = zscore(rows)
     val n = z.length
     val m = SymMatrix.zeros(n)
-    par.parFor(numBlocks(n)) { b =>
-      upperBlock(z, b, m.data, 0)
-      mirrorBlock(m.data, n, b)
+    exec.share(z) { zs =>
+      exec.fillRows(m.data, n, numBlocks(n))(blockRows(n, _))(
+        (b, a, off) => upperBlock(zs(), b, a, off))(mirrorBlock(m.data, n, _))
     }
     m
   }

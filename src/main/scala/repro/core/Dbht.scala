@@ -207,8 +207,8 @@ object Dbht {
     * complete linkage as m-1 merges, merge t at (2t, 2t+1), m+t being the
     * t-th merge: the intra-bubble runs by ascending bubble id, then the
     * inter-bubble run, each in non-decreasing distance order, the order
-    * the heights of §V-D follow. A pure function, so the group fan-out can
-    * run on a thread pool or on a Spark RDD.
+    * the heights of §V-D follow. A pure function of small arrays, so each
+    * group is one task of `dendrogram`'s fan-out.
     */
   def planGroup(bubble: Array[Int], block: Array[Double]): Array[Int] = {
     val m = bubble.length
@@ -233,23 +233,17 @@ object Dbht {
     * re-assignment of §V-D): complete linkage within each subgroup
     * (group x bubble), then across subgroups within a group, then across
     * groups, with heights 1/(n_b-1)..1 inside each group and
-    * #converging-bubbles-in-descendants at the top level. The groups are
-    * planned in parallel on `par`.
+    * #converging-bubbles-in-descendants at the top level.
+    *
+    * The groups, in ascending group id, are planned on `exec`, one
+    * `planGroup` task per group with its bubbles and APSP block. The plans
+    * go into one builder, merge t of a group of m at height 1/(m-1-t); the
+    * groups then join by complete linkage over the APSP rows.
     */
-  def dendrogram(n: Int, asg: Assignments, apspD: SymMatrix, par: Par): Dendrogram =
-    hierarchy(n, asg, apspD)(gs => par.parMap(gs.length)(i => (planGroup _).tupled(gs(i))))
-
-  /** `dendrogram` with the group fan-out left to `planAll`: given the
-    * `planGroup` arguments of every group, in ascending group id, it
-    * returns their plans in order (`dendrogram` on a `Par`,
-    * `repro.spark.SparkPipeline.dendrogram` on an RDD). The plans go into
-    * one builder, merge t of a group of m at height 1/(m-1-t); the groups
-    * then join by complete linkage over the APSP rows.
-    */
-  def hierarchy(n: Int, asg: Assignments, apspD: SymMatrix)
-               (planAll: Array[(Array[Int], Array[Double])] => Array[Array[Int]]): Dendrogram = {
+  def dendrogram(n: Int, asg: Assignments, apspD: SymMatrix, exec: Exec): Dendrogram = {
     val groups = groupMembers(asg.group, asg.group.max + 1).filter(_.nonEmpty)
-    val plans = planAll(groups.map(ms => (ms.map(asg.bubble), ms.flatMap(a => ms.map(apspD(a, _))))))
+    val tasks = groups.map(ms => (ms.map(asg.bubble), ms.flatMap(a => ms.map(apspD(a, _)))))
+    val plans = exec.map(tasks, 1)((planGroup _).tupled)
     val builder = new DendroBuilder(n)
     val groupRoots = groups.zip(plans).map { case (members, pairs) =>
       val m = members.length

@@ -14,9 +14,10 @@ import java.util.concurrent.atomic.AtomicInteger
   *
   * All methods are synchronous: they return only after every index has
   * been processed, so caller-visible writes by the body are safely
-  * published (pool handoff provides the happens-before edges).
+  * published (pool handoff provides the happens-before edges). As an
+  * `Exec`, `fillRows` writes straight into `out` and `share` is the identity.
   */
-final class Par(val threads: Int) extends AutoCloseable {
+final class Par(val threads: Int) extends Exec with AutoCloseable {
   require(threads >= 1, s"threads must be >= 1, got $threads")
 
   private val pool: ExecutorService =
@@ -58,6 +59,17 @@ final class Par(val threads: Int) extends AutoCloseable {
     parFor(n, grain)(i => out(i) = f(i))
     out
   }
+
+  def local: Par = this
+
+  def map[A: reflect.ClassTag, B: reflect.ClassTag](items: Array[A], grain: Int)(f: A => B): Array[B] =
+    parMap(items.length, grain)(i => f(items(i)))
+
+  def fillRows(out: Array[Double], width: Int, tasks: Int)(rows: Int => (Int, Int))
+              (write: (Int, Array[Double], Int) => Unit)(after: Int => Unit): Unit =
+    parFor(tasks) { b => write(b, out, 0); after(b) }
+
+  def share[A: reflect.ClassTag, R](x: A)(body: (() => A) => R): R = body(() => x)
 
   override def close(): Unit =
     if (pool != null) { pool.shutdown(); pool.awaitTermination(10, TimeUnit.SECONDS); () }

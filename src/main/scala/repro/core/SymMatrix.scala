@@ -5,7 +5,7 @@ package repro.core
   * the paper's input, and full rows give cache-friendly scans in the gain
   * computations).
   */
-final class SymMatrix private (val n: Int, val data: Array[Double]) extends Serializable {
+final class SymMatrix private (val n: Int, val data: Array[Double]) {
 
   @inline def apply(i: Int, j: Int): Double = data(i * n + j)
 
@@ -37,12 +37,5 @@ object SymMatrix {
   def zeros(n: Int): SymMatrix = {
     checkSize(n)
     new SymMatrix(n, new Array[Double](n * n))
-  }
-
-  /** Wrap an existing flat row-major array (must be length n*n and symmetric). */
-  def wrap(n: Int, data: Array[Double]): SymMatrix = {
-    checkSize(n)
-    require(data.length == n * n, s"expected ${n * n} entries, got ${data.length}")
-    new SymMatrix(n, data)
   }
 }

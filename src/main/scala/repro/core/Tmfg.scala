@@ -36,11 +36,9 @@ final case class TmfgResult(graph: WGraph, tree: BubbleTree, rounds: Int,
   * out no vertex remains. After a round, the faces rescanned are the
   * three new faces per insertion and the stale faces whose lists ran out.
   *
-  * One round engine, `grow`, owns all of this state. The rescans are the
-  * dominant work and the only pluggable part: `grow` hands the faces to
-  * rescan to a scan that evaluates `candidates` for each of them.
-  * `build` scans in parallel over faces on a `Par` (`scanFaces`);
-  * `repro.spark.SparkTmfg` scans with an RDD job.
+  * One round engine, `build`, owns all of this state. The rescans are the
+  * dominant work and the only part that fans out: one `candidates` task
+  * per face, on a `Par` or on Spark (`Exec`).
   */
 object Tmfg {
 
@@ -187,217 +185,206 @@ object Tmfg {
   /** Fails unless a TMFG over n vertices exists (n >= 4). */
   def checkN(n: Int): Unit = require(n >= 4, s"TMFG needs at least 4 vertices, got $n")
 
-  def build(s: SymMatrix, prefix: Int, par: Par): TmfgResult = grow(s, prefix, par)(scanFaces(s, par))
-
-  /** The scan of `build`: `candidates` of every triangle, in parallel over
-    * the triangles on `par`.
+  /** Algorithm 1 with the bubble tree of Algorithm 2: seed clique, face
+    * tables, candidate lists, batch selection and insertion run on the
+    * driver; each round's GAINS rescans fan out on `exec`, one
+    * `candidates` task per face to rescan, with S shared once and the
+    * remaining vertices shared per round.
     */
-  def scanFaces(s: SymMatrix, par: Par)(tris: Array[Int], rem: Array[Int], remCount: Int): Array[Candidates] = {
-    // a rescan costs O(remCount); only fan out when the batch carries
-    // enough total work to amortize task submission
-    val grain = math.max(1, 20000 / math.max(1, remCount))
-    par.parMap(tris.length / 3, grain) { i =>
-      candidates(s.data, s.n, tris(3 * i), tris(3 * i + 1), tris(3 * i + 2), rem, remCount)
-    }
-  }
-
-  /** The round engine of Algorithm 1: seed clique, face tables, candidate
-    * lists, batch selection, insertion and the bubble tree (Algorithm 2).
-    * The GAINS rescans are left to `scan`: given the triangles of the
-    * faces to rescan, packed three ints each, and the remaining vertices
-    * `rem(0 until remCount)` in ascending order, it returns `candidates`
-    * of every triangle, in order. `par` only computes the row sums for
-    * the seed.
-    */
-  def grow(s: SymMatrix, prefix: Int, par: Par)
-          (scan: (Array[Int], Array[Int], Int) => Array[Candidates]): TmfgResult = {
+  def build(s: SymMatrix, prefix: Int, exec: Exec): TmfgResult = {
     val n = s.n
     checkN(n)
     require(prefix >= 1, s"prefix must be >= 1, got $prefix")
 
     // --- seed: the four vertices with largest row sums in S ---
-    val rowSums = par.parMap(n)(i => s.rowSum(i))
+    val rowSums = exec.local.parMap(n)(i => s.rowSum(i))
     // a row sum is finite iff every entry of the row is (barring overflow)
     val badRow = rowSums.indexWhere(x => !java.lang.Double.isFinite(x))
     require(badRow < 0, s"S must be finite: row $badRow sums to ${rowSums(badRow)}")
     val seed = (0 until n).sortBy(i => (-rowSums(i), i)).take(4).toArray
 
-    // the 3n-6 edges (eu(i), ev(i)): the seed's six, then three per insertion
-    val eu = new Array[Int](3 * n - 6)
-    val ev = new Array[Int](3 * n - 6)
-    var numEdges = 0
-    def addEdge(u: Int, v: Int): Unit = { eu(numEdges) = u; ev(numEdges) = v; numEdges += 1 }
-    for (i <- 0 until 4; j <- i + 1 until 4) addEdge(seed(i), seed(j))
+    exec.share(s.data) { sd =>
+      // the 3n-6 edges (eu(i), ev(i)): the seed's six, then three per insertion
+      val eu = new Array[Int](3 * n - 6)
+      val ev = new Array[Int](3 * n - 6)
+      var numEdges = 0
+      def addEdge(u: Int, v: Int): Unit = { eu(numEdges) = u; ev(numEdges) = v; numEdges += 1 }
+      for (i <- 0 until 4; j <- i + 1 until 4) addEdge(seed(i), seed(j))
 
-    // remaining vertices in ascending order, compacted after each round
-    // so that a scan reads the rows of S in a monotone order
-    val rem = (0 until n).filterNot(seed.contains).toArray
-    var remCount = rem.length
-    val inserted = new Array[Boolean](n)
+      // remaining vertices in ascending order, compacted after each round
+      // so that a scan reads the rows of S in a monotone order
+      val rem = (0 until n).filterNot(seed.contains).toArray
+      var remCount = rem.length
+      val inserted = new Array[Boolean](n)
 
-    // --- face tables: 4 seed faces, then each insertion kills one face
-    // and adds three, so 3n-8 faces are ever made and 2n-4 are alive at
-    // the end ---
-    val maxFaces = 3 * n - 8
-    val faceVerts  = new Array[Int](3 * maxFaces) // face f is faceVerts(3f until 3f+3)
-    val faceBubble = new Array[Int](maxFaces)
-    val faceAlive  = new Array[Boolean](maxFaces)
-    val bestV      = new Array[Int](maxFaces)
-    val bestGain   = new Array[Double](maxFaces)
-    var numFaces   = 0
-    val alive      = new Array[Int](2 * n - 4)
-    var aliveCount = 0
-    // candidate lists: face f's list is candV/candG(K f until K f +
-    // candLen(f)), and its cached best vertex is entry candHead(f)
-    val candV    = new Array[Int](K * maxFaces)
-    val candG    = new Array[Double](K * maxFaces)
-    val candLen  = new Array[Int](maxFaces)
-    val candHead = new Array[Int](maxFaces)
-    // reverse index: the faces whose cached best vertex is v, a list
-    // linked through nextOfBest from firstOfBest(v) and ended by -1. A face
-    // is in the list of its current best vertex only; a killed face stays
-    // in its list and is skipped when the list is walked
-    val firstOfBest = Array.fill(n)(-1)
-    val nextOfBest  = new Array[Int](maxFaces)
+      // --- face tables: 4 seed faces, then each insertion kills one face
+      // and adds three, so 3n-8 faces are ever made and 2n-4 are alive at
+      // the end ---
+      val maxFaces = 3 * n - 8
+      val faceVerts  = new Array[Int](3 * maxFaces) // face f is faceVerts(3f until 3f+3)
+      val faceBubble = new Array[Int](maxFaces)
+      val faceAlive  = new Array[Boolean](maxFaces)
+      val bestV      = new Array[Int](maxFaces)
+      val bestGain   = new Array[Double](maxFaces)
+      var numFaces   = 0
+      val alive      = new Array[Int](2 * n - 4)
+      var aliveCount = 0
+      // candidate lists: face f's list is candV/candG(K f until K f +
+      // candLen(f)), and its cached best vertex is entry candHead(f)
+      val candV    = new Array[Int](K * maxFaces)
+      val candG    = new Array[Double](K * maxFaces)
+      val candLen  = new Array[Int](maxFaces)
+      val candHead = new Array[Int](maxFaces)
+      // reverse index: the faces whose cached best vertex is v, a list
+      // linked through nextOfBest from firstOfBest(v) and ended by -1. A face
+      // is in the list of its current best vertex only; a killed face stays
+      // in its list and is skipped when the list is walked
+      val firstOfBest = Array.fill(n)(-1)
+      val nextOfBest  = new Array[Int](maxFaces)
 
-    val tree = new BubbleTree(n)
-    val b0 = tree.addBubble(seed.clone())
-    tree.root = b0
+      val tree = new BubbleTree(n)
+      val b0 = tree.addBubble(seed.clone())
+      tree.root = b0
 
-    def addFace(a: Int, b: Int, c: Int, bubble: Int): Int = {
-      val id = numFaces
-      faceVerts(3 * id) = a; faceVerts(3 * id + 1) = b; faceVerts(3 * id + 2) = c
-      faceBubble(id) = bubble
-      faceAlive(id) = true
-      bestV(id) = -1
-      bestGain(id) = Double.NegativeInfinity
-      numFaces += 1
-      id
-    }
-
-    // makes entry h of face f's list its cached best vertex, or leaves the
-    // face without one when h is past the end
-    def setBest(f: Int, h: Int): Unit = {
-      candHead(f) = h
-      if (h < candLen(f)) {
-        val v = candV(K * f + h)
-        bestV(f) = v; bestGain(f) = candG(K * f + h)
-        nextOfBest(f) = firstOfBest(v); firstOfBest(v) = f
-      } else {
-        bestV(f) = -1; bestGain(f) = Double.NegativeInfinity
-      }
-    }
-
-    val f0 = addFace(seed(0), seed(1), seed(2), b0)
-    addFace(seed(0), seed(1), seed(3), b0)
-    addFace(seed(0), seed(2), seed(3), b0)
-    addFace(seed(1), seed(2), seed(3), b0)
-    var outerFaceId = f0
-
-    // faces to rescan: the seed faces, then after each round the new ones
-    // and the stale faces whose full lists ran out; all distinct and
-    // alive, so at most 2n-4 of them
-    val dirty = new Array[Int](2 * n - 4)
-    var numDirty = 4
-    for (f <- 0 until 4) { alive(f) = f; dirty(f) = f }
-    aliveCount = 4
-
-    val insertionOrder = java.util.Arrays.copyOf(seed, n)
-    var numInserted = 4
-
-    var rounds = 0
-    while (remCount > 0) {
-      rounds += 1
-
-      // --- GAINS update: rescan the dirty faces ---
-      val tris = new Array[Int](3 * numDirty)
-      for (i <- 0 until numDirty) System.arraycopy(faceVerts, 3 * dirty(i), tris, 3 * i, 3)
-      val lists = scan(tris, rem, remCount)
-      for (i <- 0 until numDirty) {
-        val f = dirty(i)
-        val l = lists(i)
-        System.arraycopy(l.verts, 0, candV, K * f, l.verts.length)
-        System.arraycopy(l.gains, 0, candG, K * f, l.gains.length)
-        candLen(f) = l.verts.length
-        setBest(f, 0)
+      def addFace(a: Int, b: Int, c: Int, bubble: Int): Int = {
+        val id = numFaces
+        faceVerts(3 * id) = a; faceVerts(3 * id + 1) = b; faceVerts(3 * id + 2) = c
+        faceBubble(id) = bubble
+        faceAlive(id) = true
+        bestV(id) = -1
+        bestGain(id) = Double.NegativeInfinity
+        numFaces += 1
+        id
       }
 
-      // --- Lines 9-10: pick up to `prefix` vertex-face pairs ---
-      val selected = selectBatch(alive, aliveCount, bestV, bestGain, prefix)
-      if (selected.isEmpty)
-        throw new IllegalStateException(
-          s"round $rounds found no face with a best vertex while $remCount vertices remain")
-
-      // --- Lines 11-17: insert the batch ---
-      numDirty = 0
-      for (f <- selected) {
-        val v = bestV(f)
-        val t0 = faceVerts(3 * f); val t1 = faceVerts(3 * f + 1); val t2 = faceVerts(3 * f + 2)
-        inserted(v) = true
-        insertionOrder(numInserted) = v
-        numInserted += 1
-        addEdge(v, t0); addEdge(v, t1); addEdge(v, t2)
-
-        // bubble tree update (Algorithm 2)
-        val bStar = tree.addBubble(Array(t0, t1, t2, v))
-        val wasOuter = f == outerFaceId
-        if (wasOuter) {
-          tree.link(bStar, tree.root, Array(t0, t1, t2))
-          tree.root = bStar
+      // makes entry h of face f's list its cached best vertex, or leaves the
+      // face without one when h is past the end
+      def setBest(f: Int, h: Int): Unit = {
+        candHead(f) = h
+        if (h < candLen(f)) {
+          val v = candV(K * f + h)
+          bestV(f) = v; bestGain(f) = candG(K * f + h)
+          nextOfBest(f) = firstOfBest(v); firstOfBest(v) = f
         } else {
-          tree.link(faceBubble(f), bStar, Array(t0, t1, t2))
+          bestV(f) = -1; bestGain(f) = Double.NegativeInfinity
+        }
+      }
+
+      val f0 = addFace(seed(0), seed(1), seed(2), b0)
+      addFace(seed(0), seed(1), seed(3), b0)
+      addFace(seed(0), seed(2), seed(3), b0)
+      addFace(seed(1), seed(2), seed(3), b0)
+      var outerFaceId = f0
+
+      // faces to rescan: the seed faces, then after each round the new ones
+      // and the stale faces whose full lists ran out; all distinct and
+      // alive, so at most 2n-4 of them
+      val dirty = new Array[Int](2 * n - 4)
+      var numDirty = 4
+      for (f <- 0 until 4) { alive(f) = f; dirty(f) = f }
+      aliveCount = 4
+
+      val insertionOrder = java.util.Arrays.copyOf(seed, n)
+      var numInserted = 4
+
+      var rounds = 0
+      while (remCount > 0) {
+        rounds += 1
+
+        // --- GAINS update: one rescan task per dirty face ---
+        val tris = dirty.take(numDirty).map(f => faceVerts.slice(3 * f, 3 * f + 3))
+        val rc = remCount // a task captures this value, not the var
+        // a rescan costs O(remCount); only fan out when the batch carries
+        // enough total work to amortize task submission
+        val lists = exec.share(rem) { rm =>
+          exec.map(tris, math.max(1, 20000 / rc))(t => candidates(sd(), n, t(0), t(1), t(2), rm(), rc))
+        }
+        for (i <- 0 until numDirty) {
+          val f = dirty(i)
+          val l = lists(i)
+          System.arraycopy(l.verts, 0, candV, K * f, l.verts.length)
+          System.arraycopy(l.gains, 0, candG, K * f, l.gains.length)
+          candLen(f) = l.verts.length
+          setBest(f, 0)
         }
 
-        // replace face f with the three new faces of bStar
-        faceAlive(f) = false
-        val nf1 = addFace(v, t0, t1, bStar)
-        val nf2 = addFace(v, t1, t2, bStar)
-        val nf3 = addFace(v, t0, t2, bStar)
-        if (wasOuter) outerFaceId = nf1
-        dirty(numDirty) = nf1; dirty(numDirty + 1) = nf2; dirty(numDirty + 2) = nf3
-        numDirty += 3
-      }
+        // --- Lines 9-10: pick up to `prefix` vertex-face pairs ---
+        val selected = selectBatch(alive, aliveCount, bestV, bestGain, prefix)
+        if (selected.isEmpty)
+          throw new IllegalStateException(
+            s"round $rounds found no face with a best vertex while $remCount vertices remain")
 
-      // drop the batch from the remaining list, keeping it ascending
-      var w = 0
-      var i = 0
-      while (i < remCount) {
-        if (!inserted(rem(i))) { rem(w) = rem(i); w += 1 }
-        i += 1
-      }
-      remCount = w
+        // --- Lines 11-17: insert the batch ---
+        numDirty = 0
+        for (f <- selected) {
+          val v = bestV(f)
+          val t0 = faceVerts(3 * f); val t1 = faceVerts(3 * f + 1); val t2 = faceVerts(3 * f + 2)
+          inserted(v) = true
+          insertionOrder(numInserted) = v
+          numInserted += 1
+          addEdge(v, t0); addEdge(v, t1); addEdge(v, t2)
 
-      // update the alive-face list: drop killed faces, append the new ones
-      // (so far the only entries of `dirty`)
-      w = 0
-      i = 0
-      while (i < aliveCount) {
-        val f = alive(i)
-        if (faceAlive(f)) { alive(w) = f; w += 1 }
-        i += 1
-      }
-      System.arraycopy(dirty, 0, alive, w, numDirty)
-      aliveCount = w + numDirty
-
-      // stale faces, once the whole batch is in: move to the next listed
-      // vertex that remains; rescan when a full list runs out
-      for (f <- selected) {
-        val v = bestV(f)
-        var g = firstOfBest(v)
-        firstOfBest(v) = -1
-        while (g >= 0) {
-          val next = nextOfBest(g) // setBest links g into another list
-          if (faceAlive(g)) {
-            var h = candHead(g) + 1
-            while (h < candLen(g) && inserted(candV(K * g + h))) h += 1
-            if (h < candLen(g) || candLen(g) < K) setBest(g, h)
-            else { dirty(numDirty) = g; numDirty += 1 }
+          // bubble tree update (Algorithm 2)
+          val bStar = tree.addBubble(Array(t0, t1, t2, v))
+          val wasOuter = f == outerFaceId
+          if (wasOuter) {
+            tree.link(bStar, tree.root, Array(t0, t1, t2))
+            tree.root = bStar
+          } else {
+            tree.link(faceBubble(f), bStar, Array(t0, t1, t2))
           }
-          g = next
+
+          // replace face f with the three new faces of bStar
+          faceAlive(f) = false
+          val nf1 = addFace(v, t0, t1, bStar)
+          val nf2 = addFace(v, t1, t2, bStar)
+          val nf3 = addFace(v, t0, t2, bStar)
+          if (wasOuter) outerFaceId = nf1
+          dirty(numDirty) = nf1; dirty(numDirty + 1) = nf2; dirty(numDirty + 2) = nf3
+          numDirty += 3
+        }
+
+        // drop the batch from the remaining list, keeping it ascending
+        var w = 0
+        var i = 0
+        while (i < remCount) {
+          if (!inserted(rem(i))) { rem(w) = rem(i); w += 1 }
+          i += 1
+        }
+        remCount = w
+
+        // update the alive-face list: drop killed faces, append the new ones
+        // (so far the only entries of `dirty`)
+        w = 0
+        i = 0
+        while (i < aliveCount) {
+          val f = alive(i)
+          if (faceAlive(f)) { alive(w) = f; w += 1 }
+          i += 1
+        }
+        System.arraycopy(dirty, 0, alive, w, numDirty)
+        aliveCount = w + numDirty
+
+        // stale faces, once the whole batch is in: move to the next listed
+        // vertex that remains; rescan when a full list runs out
+        for (f <- selected) {
+          val v = bestV(f)
+          var g = firstOfBest(v)
+          firstOfBest(v) = -1
+          while (g >= 0) {
+            val next = nextOfBest(g) // setBest links g into another list
+            if (faceAlive(g)) {
+              var h = candHead(g) + 1
+              while (h < candLen(g) && inserted(candV(K * g + h))) h += 1
+              if (h < candLen(g) || candLen(g) < K) setBest(g, h)
+              else { dirty(numDirty) = g; numDirty += 1 }
+            }
+            g = next
+          }
         }
       }
-    }
 
-    TmfgResult(WGraph.fromEdges(n, eu, ev), tree, rounds, insertionOrder)
+      TmfgResult(WGraph.fromEdges(n, eu, ev), tree, rounds, insertionOrder)
+    }
   }
 }

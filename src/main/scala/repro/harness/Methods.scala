@@ -35,8 +35,8 @@ object Methods {
   }
 
   /** PAR-TDBHT: the paper's contribution — batched TMFG + optimized DBHT. */
-  def parTdbht(s: SymMatrix, d: SymMatrix, prefix: Int, k: Int, par: Par): RunResult =
-    dbht(s, d, k, par)(Tmfg.build(s, prefix, par))(_.graph, Dbht.bubblesFromTmfg(_, s, par))
+  def parTdbht(s: SymMatrix, d: SymMatrix, prefix: Int, k: Int, exec: Exec): RunResult =
+    dbht(s, d, k, exec)(Tmfg.build(s, prefix, exec))(_.graph, Dbht.bubblesFromTmfg(_, s, exec.local))
 
   /** SEQ-TDBHT baseline: sequential TMFG (PREFIX=1, 1 thread) and the
     * original quadratic DBHT steps (triangle enumeration + BFS
@@ -56,16 +56,17 @@ object Methods {
   /** The four timed steps of every DBHT method: `build` the filtered
     * graph (`graphOf` reads the graph off its result), APSP, bubbles
     * (`bubblesOf`) + assignment, hierarchy; then the cut at k, whose
-    * range is checked before the first step.
+    * range is checked before the first step. APSP and the hierarchy fan
+    * out on `exec`; the assignment runs on `exec.local`.
     */
-  private def dbht[G](s: SymMatrix, d: SymMatrix, k: Int, par: Par)(build: => G)
+  private def dbht[G](s: SymMatrix, d: SymMatrix, k: Int, exec: Exec)(build: => G)
                      (graphOf: G => WGraph, bubblesOf: G => Bubbles): RunResult = {
     Dendrogram.checkK(k, s.n)
     val (built, tGraph) = timed(build)
     val g = graphOf(built)
-    val (apsp, tApsp)   = timed(Apsp.allPairs(g, d, par))
-    val (asg, tBubble)  = timed(Dbht.assign(bubblesOf(built), g, s, apsp, par))
-    val (dendro, tHier) = timed(Dbht.dendrogram(s.n, asg, apsp, par))
+    val (apsp, tApsp)   = timed(Apsp.allPairs(g, d, exec))
+    val (asg, tBubble)  = timed(Dbht.assign(bubblesOf(built), g, s, apsp, exec.local))
+    val (dendro, tHier) = timed(Dbht.dendrogram(s.n, asg, apsp, exec))
     RunResult(dendro.cut(k), Timings(tGraph, tApsp, tBubble, tHier), Some(dendro), g.totalWeight(s))
   }
 

@@ -3,6 +3,8 @@ package repro
 import org.apache.spark.sql.SparkSession
 import org.scalatest.BeforeAndAfterAll
 import org.scalatest.funsuite.AnyFunSuite
+import repro.core.{Exec, Par}
+import repro.spark.SparkExec
 
 /** Base for every test: one local-mode SparkSession for the whole run.
   *
@@ -14,6 +16,11 @@ import org.scalatest.funsuite.AnyFunSuite
   */
 trait SparkSpec extends AnyFunSuite with BeforeAndAfterAll {
   lazy val spark: SparkSession = SparkSpec.shared
+
+  /** `f` on a `SparkExec` over the shared session, its driver loops on a
+    * pool of every core.
+    */
+  def onSpark[A](f: Exec => A): A = Par.default(par => f(new SparkExec(spark, par)))
 
   override def afterAll(): Unit = { super.afterAll() }
 }

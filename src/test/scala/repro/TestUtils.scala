@@ -2,6 +2,7 @@ package repro
 
 import repro.core._
 import scala.collection.mutable.ArrayBuffer
+import scala.reflect.ClassTag
 import scala.util.Random
 
 /** Brute-force reference implementations and generators shared by the
@@ -225,7 +226,40 @@ object TestUtils {
   }
 
   /** An independent copy of `m`. */
-  def copy(m: SymMatrix): SymMatrix = SymMatrix.wrap(m.n, m.data.clone())
+  def copy(m: SymMatrix): SymMatrix = {
+    val c = SymMatrix.zeros(m.n)
+    System.arraycopy(m.data, 0, c.data, 0, m.data.length)
+    c
+  }
+
+  /** `par` as an `Exec` that shows every task function a Spark job would
+    * ship (`map`'s `f`, `fillRows`' `rows` and `write`) to `onTask` before
+    * running it on `par`. `share` hands out a `Handle`, whose value is
+    * transient as a broadcast's is. Tests override `map` to watch or
+    * replace a stage's tasks.
+    */
+  class TestExec(par: Par, onTask: AnyRef => Unit = _ => ()) extends Exec {
+    def local: Par = par
+
+    def map[A: ClassTag, B: ClassTag](items: Array[A], grain: Int)(f: A => B): Array[B] = {
+      onTask(f)
+      par.map(items, grain)(f)
+    }
+
+    def fillRows(out: Array[Double], width: Int, tasks: Int)(rows: Int => (Int, Int))
+                (write: (Int, Array[Double], Int) => Unit)(after: Int => Unit): Unit = {
+      onTask(rows)
+      onTask(write)
+      par.fillRows(out, width, tasks)(rows)(write)(after)
+    }
+
+    def share[A: ClassTag, R](x: A)(body: (() => A) => R): R = body(new Handle(x))
+  }
+
+  /** A shared value's handle that serializes without the value. */
+  final class Handle[A](@transient private val x: A) extends (() => A) with Serializable {
+    def apply(): A = x
+  }
 
   /** Floyd–Warshall APSP over a graph with matrix edge weights. */
   def floydWarshall(g: WGraph, d: SymMatrix): Array[Array[Double]] = {

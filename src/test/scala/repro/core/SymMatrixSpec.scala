@@ -18,15 +18,10 @@ class SymMatrixSpec extends AnyFunSuite {
     assert(m.rowSum(1) == 1.0)
   }
 
-  test("wrap rejects wrong-size arrays") {
-    intercept[IllegalArgumentException](SymMatrix.wrap(3, new Array[Double](8)))
-  }
-
   test("an n whose n*n entries overflow one array is rejected before allocating") {
     for (n <- Seq(SymMatrix.MaxN + 1, 46341, 65536, Int.MaxValue, -1)) {
       val e = intercept[IllegalArgumentException](SymMatrix.zeros(n))
       assert(e.getMessage.contains(s"n = $n"))
-      intercept[IllegalArgumentException](SymMatrix.wrap(n, new Array[Double](0)))
     }
     SymMatrix.checkSize(SymMatrix.MaxN) // the largest n that fits passes
     intercept[IllegalArgumentException](SymMatrix.checkSize(SymMatrix.MaxN + 1))

@@ -3,6 +3,7 @@ package repro.core
 import org.scalatest.funsuite.AnyFunSuite
 import repro.TestUtils
 import repro.pmfg.Planarity
+import scala.reflect.ClassTag
 
 class TmfgSpec extends AnyFunSuite {
 
@@ -238,10 +239,13 @@ class TmfgSpec extends AnyFunSuite {
   }
 
   test("a round that selects no face fails instead of looping") {
-    // a scan that finds no best vertex for any face leaves the batch empty
+    // rescans that find no best vertex for any face leave the batch empty
     val e = intercept[IllegalStateException](Par.withThreads(1) { par =>
-      Tmfg.grow(TestUtils.randomSim(8, 1), 2, par)((tris, _, _) =>
-        Array.fill(tris.length / 3)(Tmfg.Candidates(Array.empty, Array.empty)))
+      val noCandidates = new TestUtils.TestExec(par) {
+        override def map[A: ClassTag, B: ClassTag](items: Array[A], grain: Int)(f: A => B): Array[B] =
+          items.map(_ => Tmfg.Candidates(Array.empty, Array.empty).asInstanceOf[B])
+      }
+      Tmfg.build(TestUtils.randomSim(8, 1), 2, noCandidates)
     })
     assert(e.getMessage.contains("4 vertices remain"), e.getMessage)
   }
@@ -290,17 +294,20 @@ class TmfgSpec extends AnyFunSuite {
   }
 
   test("the candidate lists spare most rescans") {
-    // faces handed to the scan at n=400, prefix 1: 8940 when every stale
+    // faces rescanned at n=400, prefix 1: 8940 when every stale
     // face was rescanned; with the lists, only new faces and stale faces
     // whose K listed vertices are all inserted
     val ds = repro.data.TimeSeriesGen.make("tmfg-cache", 400, 96, 8, noise = 1.3, seed = 1)
     Par.withThreads(1) { par =>
       val s = Correlation.pearson(ds.data, par)
       var faces = 0
-      val res = Tmfg.grow(s, 1, par) { (tris, rem, remCount) =>
-        faces += tris.length / 3
-        Tmfg.scanFaces(s, par)(tris, rem, remCount)
+      val counting = new TestUtils.TestExec(par) {
+        override def map[A: ClassTag, B: ClassTag](items: Array[A], grain: Int)(f: A => B): Array[B] = {
+          faces += items.length
+          super.map(items, grain)(f)
+        }
       }
+      val res = Tmfg.build(s, 1, counting)
       assert(res.graph.edges == Tmfg.build(s, 1, par).graph.edges)
       assert(faces < 8940, s"$faces faces scanned")
     }

@@ -10,7 +10,7 @@ class SparkApspSpec extends SparkSpec {
     val d = Correlation.dissimilarity(s)
     val g = Par.withThreads(4)(par => Tmfg.build(s, 4, par)).graph
     val kernel = Par.withThreads(4)(par => Apsp.allPairs(g, d, par))
-    val dist = SparkApsp.allPairs(spark, g, d)
+    val dist = onSpark(Apsp.allPairs(g, d, _))
     assert(dist.data.sameElements(kernel.data))
   }
 
@@ -18,7 +18,7 @@ class SparkApspSpec extends SparkSpec {
     val s = TestUtils.randomSim(20, 2)
     val d = Correlation.dissimilarity(s)
     val g = Par.withThreads(2)(par => Tmfg.build(s, 1, par)).graph
-    val apsp = SparkApsp.allPairs(spark, g, d)
+    val apsp = onSpark(Apsp.allPairs(g, d, _))
     for (i <- 0 until 20) {
       assert(apsp(i, i) == 0.0)
       for (j <- 0 until 20) assert(math.abs(apsp(i, j) - apsp(j, i)) < 1e-12)
@@ -31,7 +31,7 @@ class SparkApspSpec extends SparkSpec {
       "quantised similarities" -> TestUtils.tmfgWithD(TestUtils.quantisedSim(60, 1), 3))
     for ((what, (g, d)) <- inputs) {
       val kernel = Par.withThreads(4)(par => Apsp.allPairs(g, d, par))
-      assert(SparkApsp.allPairs(spark, g, d).data.sameElements(kernel.data), what)
+      assert(onSpark(Apsp.allPairs(g, d, _)).data.sameElements(kernel.data), what)
     }
   }
 }

@@ -11,7 +11,7 @@ class SparkCorrelationSpec extends SparkSpec {
   test("spark correlation of 12 Gaussian series matches the kernel pearson") {
     val rng = new Random(1)
     val rows = Array.fill(12)(Array.fill(40)(rng.nextGaussian()))
-    val sparkM  = SparkCorrelation.pearson(spark, rows)
+    val sparkM  = onSpark(Correlation.pearson(rows, _))
     val kernelM = Par.withThreads(4)(par => Correlation.pearson(rows, par))
     for (i <- 0 until 12; j <- 0 until 12)
       assert(math.abs(sparkM(i, j) - kernelM(i, j)) < 1e-9, s"($i,$j)")
@@ -19,7 +19,7 @@ class SparkCorrelationSpec extends SparkSpec {
 
   test("spark correlation on a generated dataset matches the kernel") {
     val ds = TimeSeriesGen.make("t", 30, 50, 3, 1.0, seed = 2)
-    val sparkM  = SparkCorrelation.pearson(spark, ds.data)
+    val sparkM  = onSpark(Correlation.pearson(ds.data, _))
     val kernelM = Par.withThreads(4)(par => Correlation.pearson(ds.data, par))
     assert(sparkM.data.zip(kernelM.data).forall { case (a, b) => math.abs(a - b) < 1e-9 })
   }
@@ -30,7 +30,7 @@ class SparkCorrelationSpec extends SparkSpec {
     val rng = new Random(4)
     for (n <- Seq(4, 31, 32, 33, 65); len <- Seq(40, 513)) {
       val rows    = Array.fill(n)(Array.fill(len)(rng.nextGaussian()))
-      val sparkM  = SparkCorrelation.pearson(spark, rows)
+      val sparkM  = onSpark(Correlation.pearson(rows, _))
       val kernelM = Par.withThreads(4)(par => Correlation.pearson(rows, par))
       assert(sparkM.data.sameElements(kernelM.data), s"n=$n L=$len")
     }

@@ -92,7 +92,7 @@ class SparkPipelineSpec extends SparkSpec {
       val bub = Dbht.bubblesFromTmfg(res, s, par)
       val asg = Dbht.assign(bub, res.graph, s, apsp, par)
       val kernelDen = Dbht.dendrogram(s.n, asg, apsp, par)
-      val sparkDen  = SparkPipeline.dendrogram(spark, s.n, asg, apsp)
+      val sparkDen  = onSpark(Dbht.dendrogram(s.n, asg, apsp, _))
       assert(kernelDen.left.sameElements(sparkDen.left))
       assert(kernelDen.right.sameElements(sparkDen.right))
       assert(kernelDen.height.sameElements(sparkDen.height))

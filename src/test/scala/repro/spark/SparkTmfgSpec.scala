@@ -8,7 +8,7 @@ class SparkTmfgSpec extends SparkSpec {
   test("distributed TMFG equals the kernel TMFG (prefix 1)") {
     val s = TestUtils.randomSim(40, 1)
     val kernel = Par.withThreads(4)(par => Tmfg.build(s, 1, par))
-    val dist = SparkTmfg.build(spark, s, 1)
+    val dist = onSpark(Tmfg.build(s, 1, _))
     assert(dist.graph.edges == kernel.graph.edges)
     assert(dist.insertionOrder.sameElements(kernel.insertionOrder))
     assert(dist.rounds == kernel.rounds)
@@ -17,7 +17,7 @@ class SparkTmfgSpec extends SparkSpec {
   test("distributed TMFG equals the kernel TMFG (prefix 5)") {
     val s = TestUtils.randomSim(45, 2)
     val kernel = Par.withThreads(4)(par => Tmfg.build(s, 5, par))
-    val dist = SparkTmfg.build(spark, s, 5)
+    val dist = onSpark(Tmfg.build(s, 5, _))
     assert(dist.graph.edges == kernel.graph.edges)
     assert(dist.insertionOrder.sameElements(kernel.insertionOrder))
     assert(dist.rounds == kernel.rounds)
@@ -26,7 +26,7 @@ class SparkTmfgSpec extends SparkSpec {
   test("distributed bubble tree matches the kernel bubble tree") {
     val s = TestUtils.randomSim(30, 3)
     val kernel = Par.withThreads(2)(par => Tmfg.build(s, 3, par))
-    val dist = SparkTmfg.build(spark, s, 3)
+    val dist = onSpark(Tmfg.build(s, 3, _))
     assert(dist.tree.numBubbles == kernel.tree.numBubbles)
     assert(dist.tree.root == kernel.tree.root)
     for (b <- 0 until dist.tree.numBubbles) {
@@ -37,7 +37,7 @@ class SparkTmfgSpec extends SparkSpec {
 
   test("distributed TMFG keeps the structural invariants") {
     val s = TestUtils.randomSim(25, 4)
-    val dist = SparkTmfg.build(spark, s, 2)
+    val dist = onSpark(Tmfg.build(s, 2, _))
     assert(dist.graph.numEdges == 3 * 25 - 6)
     assert(repro.pmfg.Planarity.isPlanar(25, dist.graph.edges))
   }
@@ -45,7 +45,7 @@ class SparkTmfgSpec extends SparkSpec {
   /** Spark output equals `Tmfg.build` on 1 and 4 threads: edges,
     * insertion order, rounds and bubble parents. */
   private def assertEqualsKernel(s: SymMatrix, prefix: Int): Unit = {
-    val dist = SparkTmfg.build(spark, s, prefix)
+    val dist = onSpark(Tmfg.build(s, prefix, _))
     for (threads <- Seq(1, 4)) {
       val kernel = Par.withThreads(threads)(par => Tmfg.build(s, prefix, par))
       val what = s"prefix=$prefix threads=$threads"
