@@ -1,64 +1,53 @@
 package repro.core
 
-import scala.collection.mutable.ArrayBuffer
-
 /** Rooted bubble tree for a TMFG (paper §V-A, Algorithm 2).
   *
   * Every vertex insertion during TMFG construction creates exactly one
   * bubble (a 4-clique) and one tree edge, so for an n-vertex TMFG there
-  * are n-3 bubbles. Each non-root bubble stores the separating triangle
-  * it shares with its parent (`sepTri`); the invariant maintained by
-  * construction is that all descendants of the edge (parent(b), b) lie in
-  * the interior of that separating triangle.
+  * are n-3 bubbles. Bubble b's clique is `cliques(4b until 4b + 4)`:
+  * bubble 0 is the seed clique, and bubble b >= 1 is the face it was
+  * inserted into followed by the inserted vertex. `parent(b)` is -1 for
+  * the root.
   *
-  * The root can change during construction: inserting into the *outer*
-  * face makes the new bubble the parent of the old root.
+  * Inserting into the *outer* face makes the new bubble the parent of the
+  * old root; any other insertion makes the new bubble a child of the
+  * face's bubble. Either way the edge between b and parent(b) was made
+  * with the later of the two, whose face is the separating triangle: all
+  * descendants of the edge (parent(b), b) lie in its interior.
   */
-final class BubbleTree(val n: Int) {
-  val maxBubbles: Int = math.max(1, n - 3)
+final class BubbleTree(val cliques: Array[Int], val parent: Array[Int], val root: Int) {
+  require(cliques.length == 4 * parent.length,
+    s"${parent.length} bubbles need ${4 * parent.length} clique entries, got ${cliques.length}")
 
-  /** 4 vertices of each bubble (the clique). */
-  val verts = new Array[Array[Int]](maxBubbles)
-  /** Parent bubble id, -1 for the root. */
-  val parent: Array[Int] = Array.fill(maxBubbles)(-1)
-  val children: Array[ArrayBuffer[Int]] = Array.fill(maxBubbles)(new ArrayBuffer[Int](3))
-  /** Separating triangle (3 vertices) shared with the parent; null for root. */
-  val sepTri = new Array[Array[Int]](maxBubbles)
-  /** The vertex of the bubble not on `sepTri` (valid for non-root bubbles). */
-  val innerVert = new Array[Int](maxBubbles)
+  def numBubbles: Int = parent.length
 
-  var root: Int = -1
-  var numBubbles: Int = 0
+  /** Child bubble ids of each bubble, ascending: the order they were linked. */
+  val children: Array[Array[Int]] = Dbht.groupMembers(parent, numBubbles)
 
-  /** Allocate a bubble with the given 4-clique; returns its id. */
-  def addBubble(vs: Array[Int]): Int = {
-    require(vs.length == 4, s"bubble must be a 4-clique, got ${vs.length} vertices")
-    val id = numBubbles
-    verts(id) = vs
-    numBubbles += 1
-    id
-  }
+  /** The 4 vertices of bubble b. */
+  def verts(b: Int): Array[Int] = cliques.slice(4 * b, 4 * b + 4)
 
-  /** Attach `child` under `par` across separating triangle `tri`. */
-  def link(par: Int, child: Int, tri: Array[Int]): Unit = {
-    parent(child) = par
-    children(par) += child
-    sepTri(child) = tri
-    val triSet = tri.toSet
-    innerVert(child) = verts(child).find(v => !triSet.contains(v)).getOrElse(
-      sys.error(s"bubble $child has no vertex outside its separating triangle"))
-  }
+  /** Where b's separating triangle starts in `cliques`: the face of the later
+    * of b and parent(b). This, `sepTri` and `innerVert` hold for non-root b.
+    */
+  def sepTriAt(b: Int): Int = 4 * math.max(b, parent(b))
+
+  def sepTri(b: Int): Array[Int] = cliques.slice(sepTriAt(b), sepTriAt(b) + 3)
+
+  /** The vertex of bubble b off `sepTri(b)`: the inserted vertex, or for an
+    * old root that an outer-face insertion re-rooted, the one off that face.
+    */
+  def innerVert(b: Int): Int = if (b > parent(b)) cliques(4 * b + 3) else verts(b).diff(sepTri(b)).head
 
   /** Bubble ids in BFS order from the root (parents before children). */
   def topoOrder: Array[Int] = {
     val order = new Array[Int](numBubbles)
-    var head = 0; var tail = 0
-    order(tail) = root; tail += 1
+    order(0) = root
+    var head = 0; var tail = 1
     while (head < tail) {
-      val b = order(head); head += 1
-      val cs = children(b)
-      var i = 0
-      while (i < cs.length) { order(tail) = cs(i); tail += 1; i += 1 }
+      val cs = children(order(head)); head += 1
+      System.arraycopy(cs, 0, order, tail, cs.length)
+      tail += cs.length
     }
     require(tail == numBubbles, s"bubble tree is not connected: reached $tail of $numBubbles")
     order
@@ -84,7 +73,8 @@ object BubbleDirections {
 
   /** Compute all edge directions in O(n) work (Algorithm 3), implemented
     * as an iterative bottom-up sweep over tree levels (the recursion in
-    * the paper), parallel within each level.
+    * the paper), parallel within each level. A level is a contiguous run
+    * of `topoOrder`.
     *
     * `wdeg` must be the weighted degrees of the TMFG vertices under S.
     * Returns `towardChild` per bubble id (false for the root).
@@ -94,44 +84,31 @@ object BubbleDirections {
     val towardChild = new Array[Boolean](nb)
     if (nb <= 1) return towardChild
 
-    // r(b)(k) = sum of TMFG edge weights from sepTri(b)(k) into the
-    // interior of b's separating triangle.
-    val r = new Array[Array[Double]](nb)
+    val q = tree.cliques
+    // r(3b + k) = sum of TMFG edge weights from the k-th vertex of
+    // sepTri(b) into the interior of b's separating triangle.
+    val r = new Array[Double](3 * nb)
+    val order = tree.topoOrder
     val depth = tree.depths
-    val maxDepth = depth.max
-    val byLevel = Array.fill(maxDepth + 1)(new ArrayBuffer[Int]())
-    for (b <- 0 until nb) byLevel(depth(b)) += b
-
-    var level = maxDepth
-    while (level >= 1) {
-      val bs = byLevel(level)
-      par.parFor(bs.length, grain = 64) { i =>
-        val b   = bs(i)
-        val tri = tree.sepTri(b)
-        val v   = tree.innerVert(b)
-        val rb  = Array(s(tri(0), v), s(tri(1), v), s(tri(2), v))
-        val cs  = tree.children(b)
-        var ci = 0
-        while (ci < cs.length) {
-          val c    = cs(ci)
-          val ctri = tree.sepTri(c)
-          val rc   = r(c)
-          var j = 0
-          while (j < 3) {
-            val u = ctri(j)
-            var k = 0
-            while (k < 3) { if (tri(k) == u) rb(k) += rc(j); k += 1 }
-            j += 1
-          }
-          ci += 1
-        }
-        r(b) = rb
-        val inVal  = rb(0) + rb(1) + rb(2)
-        val triW   = s(tri(0), tri(1)) + s(tri(0), tri(2)) + s(tri(1), tri(2))
-        val outVal = wdeg(tri(0)) + wdeg(tri(1)) + wdeg(tri(2)) - inVal - 2.0 * triW
+    // the levels, bottom-up: order(lo until hi) is one level of the BFS order
+    var hi = nb
+    while (hi > 1) {
+      val lo = order.lastIndexWhere(depth(_) < depth(order(hi - 1)), hi - 1) + 1
+      par.parFor(hi - lo, grain = 64) { i =>
+        val b  = order(lo + i)
+        val t  = tree.sepTriAt(b)
+        val v  = tree.innerVert(b)
+        val rb = 3 * b
+        for (k <- 0 until 3) r(rb + k) = s(q(t + k), v)
+        // add each child's r at the positions of its triangle's vertices in b's
+        for (c <- tree.children(b); j <- 0 until 3; k <- 0 until 3)
+          if (q(t + k) == q(tree.sepTriAt(c) + j)) r(rb + k) += r(3 * c + j)
+        val inVal  = r(rb) + r(rb + 1) + r(rb + 2)
+        val triW   = s(q(t), q(t + 1)) + s(q(t), q(t + 2)) + s(q(t + 1), q(t + 2))
+        val outVal = wdeg(q(t)) + wdeg(q(t + 1)) + wdeg(q(t + 2)) - inVal - 2.0 * triW
         towardChild(b) = inVal > outVal
       }
-      level -= 1
+      hi = lo
     }
     towardChild
   }

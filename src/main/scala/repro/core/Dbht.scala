@@ -55,7 +55,7 @@ object Dbht {
       val p = tree.parent(c)
       if (towardChild(c)) outNbrs(p) :+= c else outNbrs(c) :+= p
     }
-    Bubbles(res.graph.n, Array.tabulate(nb)(tree.verts(_).clone()), outNbrs)
+    Bubbles(res.graph.n, Array.tabulate(nb)(tree.verts), outNbrs)
   }
 
   /** Which converging bubbles each bubble can reach along directed edges
@@ -126,7 +126,7 @@ object Dbht {
     * member order `planGroup`'s tie-breaks rely on), from one counting
     * pass over `group`; vertices with a negative group are left out.
     */
-  private def groupMembers(group: Array[Int], numGroups: Int): Array[Array[Int]] = {
+  private[core] def groupMembers(group: Array[Int], numGroups: Int): Array[Array[Int]] = {
     val size = new Array[Int](numGroups)
     for (b <- group; if b >= 0) size(b) += 1
     val out = size.map(new Array[Int](_))
@@ -236,13 +236,20 @@ object Dbht {
     * #converging-bubbles-in-descendants at the top level.
     *
     * The groups, in ascending group id, are planned on `exec`, one
-    * `planGroup` task per group with its bubbles and APSP block. The plans
+    * `planGroup` task per group with its bubbles and APSP block (the blocks
+    * are cut in parallel on the driver's pool, `exec.local`). The plans
     * go into one builder, merge t of a group of m at height 1/(m-1-t); the
     * groups then join by complete linkage over the APSP rows.
     */
   def dendrogram(n: Int, asg: Assignments, apspD: SymMatrix, exec: Exec): Dendrogram = {
     val groups = groupMembers(asg.group, asg.group.max + 1).filter(_.nonEmpty)
-    val tasks = groups.map(ms => (ms.map(asg.bubble), ms.flatMap(a => ms.map(apspD(a, _)))))
+    // each group's m x m block, (a, b) read from row members(a)
+    val tasks = exec.local.parMap(groups.length) { g =>
+      val ms = groups(g); val m = ms.length
+      val block = new Array[Double](m * m)
+      for (a <- 0 until m; b <- 0 until m) block(a * m + b) = apspD(ms(a), ms(b))
+      (ms.map(asg.bubble), block)
+    }
     val plans = exec.map(tasks, 1)((planGroup _).tupled)
     val builder = new DendroBuilder(n)
     val groupRoots = groups.zip(plans).map { case (members, pairs) =>

@@ -242,9 +242,11 @@ object Tmfg {
       val firstOfBest = Array.fill(n)(-1)
       val nextOfBest  = new Array[Int](maxFaces)
 
-      val tree = new BubbleTree(n)
-      val b0 = tree.addBubble(seed.clone())
-      tree.root = b0
+      // the bubble tree (Algorithm 2): bubble b is cliques(4b until 4b+4),
+      // the seed clique, then per insertion its face and the new vertex
+      val cliques = java.util.Arrays.copyOf(seed, 4 * (n - 3))
+      val parent  = Array.fill(n - 3)(-1)
+      var root    = 0
 
       def addFace(a: Int, b: Int, c: Int, bubble: Int): Int = {
         val id = numFaces
@@ -270,10 +272,10 @@ object Tmfg {
         }
       }
 
-      val f0 = addFace(seed(0), seed(1), seed(2), b0)
-      addFace(seed(0), seed(1), seed(3), b0)
-      addFace(seed(0), seed(2), seed(3), b0)
-      addFace(seed(1), seed(2), seed(3), b0)
+      val f0 = addFace(seed(0), seed(1), seed(2), 0)
+      addFace(seed(0), seed(1), seed(3), 0)
+      addFace(seed(0), seed(2), seed(3), 0)
+      addFace(seed(1), seed(2), seed(3), 0)
       var outerFaceId = f0
 
       // faces to rescan: the seed faces, then after each round the new ones
@@ -325,14 +327,11 @@ object Tmfg {
           addEdge(v, t0); addEdge(v, t1); addEdge(v, t2)
 
           // bubble tree update (Algorithm 2)
-          val bStar = tree.addBubble(Array(t0, t1, t2, v))
+          val bStar = numInserted - 4
+          cliques(4 * bStar) = t0; cliques(4 * bStar + 1) = t1
+          cliques(4 * bStar + 2) = t2; cliques(4 * bStar + 3) = v
           val wasOuter = f == outerFaceId
-          if (wasOuter) {
-            tree.link(bStar, tree.root, Array(t0, t1, t2))
-            tree.root = bStar
-          } else {
-            tree.link(faceBubble(f), bStar, Array(t0, t1, t2))
-          }
+          if (wasOuter) { parent(root) = bStar; root = bStar } else parent(bStar) = faceBubble(f)
 
           // replace face f with the three new faces of bStar
           faceAlive(f) = false
@@ -384,7 +383,7 @@ object Tmfg {
         }
       }
 
-      TmfgResult(WGraph.fromEdges(n, eu, ev), tree, rounds, insertionOrder)
+      TmfgResult(WGraph.fromEdges(n, eu, ev), new BubbleTree(cliques, parent, root), rounds, insertionOrder)
     }
   }
 }

@@ -90,23 +90,14 @@ class BubbleTreeSpec extends AnyFunSuite {
   }
 
   test("paper Example 1: inserting into the outer face re-roots the tree") {
-    // Reproduce the paper's walk-through directly on the tree API:
+    // Reproduce the paper's walk-through directly in the flat layout:
     // start with C = {0,1,2,4}, outer face {0,1,2}; insert 3 into the
-    // outer face, then 5 into {1,2,3} and 6 into {0,1,3}.
-    val tree = new BubbleTree(7)
-    val b1 = tree.addBubble(Array(0, 1, 2, 4))
-    tree.root = b1
-    // insert 3 into outer face {0,1,2}: new bubble becomes the root
-    val b2 = tree.addBubble(Array(0, 1, 2, 3))
-    tree.link(b2, b1, Array(0, 1, 2))
-    tree.root = b2
-    // insert 5 into inner face {1,2,3} of b2
-    val b4 = tree.addBubble(Array(1, 2, 3, 5))
-    tree.link(b2, b4, Array(1, 2, 3))
-    // insert 6 into the (new) outer face {0,1,3} of b2
-    val b3 = tree.addBubble(Array(0, 1, 3, 6))
-    tree.link(b3, b2, Array(0, 1, 3))
-    tree.root = b3
+    // outer face (b2 becomes the root), then 5 into the inner face
+    // {1,2,3} of b2 and 6 into the (new) outer face {0,1,3} of b2.
+    val tree = new BubbleTree(
+      cliques = Array(0, 1, 2, 4, 0, 1, 2, 3, 1, 2, 3, 5, 0, 1, 3, 6),
+      parent = Array(1, 3, 1, -1), root = 3)
+    val b1 = 0; val b2 = 1; val b4 = 2; val b3 = 3
 
     assert(tree.root == b3)
     assert(tree.parent(b2) == b3)
@@ -163,8 +154,31 @@ class BubbleTreeSpec extends AnyFunSuite {
     assert(bub.convergingBubbles.toSeq == Seq(0))
   }
 
-  test("addBubble rejects non-4-cliques") {
-    val tree = new BubbleTree(10)
-    intercept[IllegalArgumentException](tree.addBubble(Array(1, 2, 3)))
+  test("the constructor rejects cliques without 4 entries per bubble") {
+    intercept[IllegalArgumentException](new BubbleTree(Array(0, 1, 2, 3, 4, 5, 6), Array(1, -1), 1))
+    intercept[IllegalArgumentException](new BubbleTree(Array(0, 1, 2), Array(-1), 0))
+  }
+
+  test("the flat layout records the TMFG's own insertions: the seed, then face + vertex") {
+    var reRooted = 0
+    for (n <- Seq(5, 30, 200); prefix <- Seq(1, 7); seed <- 1L to 2L) {
+      val res = build(n, prefix, seed)
+      val tree = res.tree
+      val what = s"n=$n prefix=$prefix seed=$seed"
+      assert(tree.verts(0).toSet == res.insertionOrder.take(4).toSet, what)
+      for (b <- 1 until tree.numBubbles) {
+        val vs = tree.verts(b)
+        assert(vs(3) == res.insertionOrder(b + 3), s"$what bubble $b")
+        for ((x, y) <- Seq((vs(0), vs(1)), (vs(0), vs(2)), (vs(1), vs(2))))
+          assert(res.graph.hasEdge(x, y), s"$what bubble $b: face misses edge $x-$y")
+      }
+      for (b <- 0 until tree.numBubbles; if b != tree.root && tree.parent(b) > b) {
+        reRooted += 1
+        val tri = tree.sepTri(b).toSet
+        assert(tri == tree.verts(tree.parent(b)).take(3).toSet, s"$what bubble $b")
+        assert(tree.verts(b).toSet - tree.innerVert(b) == tri, s"$what bubble $b")
+      }
+    }
+    assert(reRooted > 0, "no input re-roots the tree, so the old-root branch of innerVert goes untested")
   }
 }

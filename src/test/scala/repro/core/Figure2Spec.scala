@@ -29,14 +29,11 @@ class Figure2Spec extends AnyFunSuite {
   private val choices = Array(0.8, 0.4, 0.2)
 
   private def buildTree(): (BubbleTree, WGraph) = {
-    val tree = new BubbleTree(7)
-    val b1 = tree.addBubble(Array(0, 1, 2, 4)); tree.root = b1
-    val b2 = tree.addBubble(Array(0, 1, 2, 3))
-    tree.link(b2, b1, Array(0, 1, 2)); tree.root = b2 // outer-face insertion
-    val b4 = tree.addBubble(Array(1, 2, 3, 5))
-    tree.link(b2, b4, Array(1, 2, 3))
-    val b3 = tree.addBubble(Array(0, 1, 3, 6))
-    tree.link(b3, b2, Array(0, 1, 3)); tree.root = b3
+    // b1 = {0,1,2,4}; 3 into the outer face {0,1,2} makes b2 the root,
+    // 5 into {1,2,3} hangs b4 under b2, 6 into {0,1,3} makes b3 the root
+    val tree = new BubbleTree(
+      cliques = Array(0, 1, 2, 4, 0, 1, 2, 3, 1, 2, 3, 5, 0, 1, 3, 6),
+      parent = Array(1, 3, 1, -1), root = 3)
     (tree, WGraph.fromEdges(7, edges))
   }
 
@@ -48,7 +45,7 @@ class Figure2Spec extends AnyFunSuite {
     s
   }
 
-  // bubble ids as created above: b1=0, b2=1, b4=2, b3=3
+  // bubble ids as laid out above: b1=0, b2=1, b4=2, b3=3
   private val B1 = 0; private val B2 = 1; private val B4 = 2; private val B3 = 3
 
   private def consistent(s: SymMatrix, tree: BubbleTree, g: WGraph, par: Par): Boolean = {
