@@ -52,13 +52,6 @@ final class BubbleTree(val cliques: Array[Int], val parent: Array[Int], val root
     require(tail == numBubbles, s"bubble tree is not connected: reached $tail of $numBubbles")
     order
   }
-
-  /** Depth of every bubble (root = 0). */
-  def depths: Array[Int] = {
-    val d = new Array[Int](numBubbles)
-    for (b <- topoOrder; if b != root) d(b) = d(parent(b)) + 1
-    d
-  }
 }
 
 /** Directions on bubble-tree edges (paper §V-B, Algorithm 3).
@@ -89,7 +82,8 @@ object BubbleDirections {
     // sepTri(b) into the interior of b's separating triangle.
     val r = new Array[Double](3 * nb)
     val order = tree.topoOrder
-    val depth = tree.depths
+    val depth = new Array[Int](nb) // root = 0
+    for (b <- order; if b != tree.root) depth(b) = depth(tree.parent(b)) + 1
     // the levels, bottom-up: order(lo until hi) is one level of the BFS order
     var hi = nb
     while (hi > 1) {

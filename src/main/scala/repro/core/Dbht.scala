@@ -1,31 +1,30 @@
 package repro.core
 
-import scala.collection.mutable.ArrayBuffer
-
 /** A directed bubble decomposition in the generic form consumed by the
   * DBHT assignment/dendrogram stages: works both for the optimized TMFG
   * bubble tree (every bubble a 4-clique) and for the original quadratic
   * decomposition of arbitrary maximal planar graphs (PMFG bubbles may
   * have more than four vertices).
   *
-  * @param n        number of graph vertices
-  * @param vertsOf  vertices of each bubble
-  * @param outNbrs  directed out-neighbors of each bubble; every bubble-tree
-  *                 edge appears once, at its tail
+  * @param n     number of graph vertices
+  * @param off   bubble b's vertices are `verts(off(b) until off(b + 1))`
+  * @param verts the vertices of all bubbles, bubble after bubble
+  * @param tail  tree edge e points from bubble `tail(e)` ...
+  * @param head  ... to bubble `head(e)`; every bubble-tree edge appears once
   */
-final case class Bubbles(n: Int,
-                         vertsOf: Array[Array[Int]],
-                         outNbrs: Array[Array[Int]]) {
-  def numBubbles: Int = vertsOf.length
+final case class Bubbles(n: Int, off: Array[Int], verts: Array[Int], tail: Array[Int], head: Array[Int]) {
+  def numBubbles: Int = off.length - 1
 
-  def convergingBubbles: Array[Int] =
-    (0 until numBubbles).filter(outNbrs(_).isEmpty).toArray
+  def vertsOf(b: Int): Array[Int] = verts.slice(off(b), off(b + 1))
 
-  /** bubble ids containing each vertex. */
+  /** The bubbles with no out-edge, ascending. */
+  def convergingBubbles: Array[Int] = Array.range(0, numBubbles).diff(tail)
+
+  /** bubble ids containing each vertex, ascending: one counting pass over `verts`. */
   def bubblesOfVertex: Array[Array[Int]] = {
-    val bufs = Array.fill(n)(new ArrayBuffer[Int](4))
-    for (b <- 0 until numBubbles; v <- vertsOf(b)) bufs(v) += b
-    bufs.map(_.toArray)
+    val bubbleAt = new Array[Int](verts.length)
+    for (b <- 0 until numBubbles) java.util.Arrays.fill(bubbleAt, off(b), off(b + 1), b)
+    Dbht.groupMembers(verts, n).map(_.map(bubbleAt(_)))
   }
 }
 
@@ -38,52 +37,63 @@ final case class Bubbles(n: Int,
 object Dbht {
 
   /** Group (converging bubble) and bubble assignment per vertex. */
-  final case class Assignments(group: Array[Int], bubble: Array[Int], converging: Array[Int])
+  final case class Assignments(group: Array[Int], bubble: Array[Int])
 
   /** Convert an optimized TMFG bubble tree into the generic form,
-    * computing edge directions with the O(n) recursive algorithm.
+    * computing edge directions with the O(n) recursive algorithm. The
+    * cliques are the bubbles' vertices as they are, four per bubble.
     */
   def bubblesFromTmfg(res: TmfgResult, s: SymMatrix, par: Par): Bubbles = {
     val tree = res.tree
-    val wdeg = res.graph.weightedDegrees(s)
-    val towardChild = BubbleDirections.compute(tree, s, wdeg, par)
-    val nb = tree.numBubbles
-    // one pass over the parent edges (parent(c), c); a bubble has at most
-    // four tree neighbours, one per face
-    val outNbrs = Array.fill(nb)(Array.emptyIntArray)
-    for (c <- 0 until nb; if c != tree.root) {
-      val p = tree.parent(c)
-      if (towardChild(c)) outNbrs(p) :+= c else outNbrs(c) :+= p
-    }
-    Bubbles(res.graph.n, Array.tabulate(nb)(tree.verts), outNbrs)
+    val towardChild = BubbleDirections.compute(tree, s, res.graph.weightedDegrees(s), par)
+    // one edge per non-root bubble c, between c and parent(c)
+    val cs = Array.range(0, tree.numBubbles).filter(_ != tree.root)
+    val (tail, head) = cs.map(c => if (towardChild(c)) (tree.parent(c), c) else (c, tree.parent(c))).unzip
+    Bubbles(res.graph.n, Array.tabulate(tree.numBubbles + 1)(4 * _), tree.cliques, tail, head)
   }
 
-  /** Which converging bubbles each bubble can reach along directed edges
-    * (paper Algorithm 4, Lines 5-6): one depth-first walk per bubble, in
-    * parallel. A directed tree has one path to each bubble it reaches, so
-    * the walk keeps no visited set; popping more than `numBubbles` entries
-    * means the out-edges hold a cycle, which fails.
+  /** Which converging bubbles each bubble reaches along directed edges
+    * (paper Algorithm 4, Lines 5-6): bit j of `reach(b * w until b * w + w)`,
+    * w = ceil(C/64) for C converging bubbles, is set iff b reaches
+    * `convergingBubbles(j)`. One pass in Kahn's order on the reversed tree:
+    * from the sinks back along the edges, a bubble, once done, ORs its
+    * bitset into the tail of each edge into it, and a tail is done once the
+    * heads of all its out-edges are. A bubble never done lies on or leads
+    * into a cycle, which fails.
     */
-  def reachableConverging(bub: Bubbles, par: Par): Array[Array[Int]] = {
+  def reachableConverging(bub: Bubbles): Array[Long] = {
     val nb = bub.numBubbles
-    par.parMap(nb, grain = 8) { start =>
-      val out = new ArrayBuffer[Int]()
-      var stack = new Array[Int](8)
-      stack(0) = start
-      var top = 1
-      var popped = 0
-      while (top > 0) {
-        top -= 1
-        val b = stack(top)
-        popped += 1
-        require(popped <= nb, s"the walk from bubble $start pops more than $nb bubbles: the out-edges are not a tree")
-        val cs = bub.outNbrs(b)
-        if (cs.isEmpty) out += b
-        if (top + cs.length > stack.length) stack = java.util.Arrays.copyOf(stack, 2 * (top + cs.length))
-        for (c <- cs) { stack(top) = c; top += 1 }
+    val conv = bub.convergingBubbles
+    val w = (conv.length + 63) / 64
+    val reach = new Array[Long](nb * w)
+    for (j <- conv.indices) reach(conv(j) * w + j / 64) = 1L << (j % 64)
+    val into = groupMembers(bub.head, nb) // the edges into each bubble
+    val outLeft = new Array[Int](nb)
+    for (t <- bub.tail) outLeft(t) += 1
+    val queue = java.util.Arrays.copyOf(conv, nb)
+    var i = 0
+    var done = conv.length
+    while (i < done) {
+      val b = queue(i); i += 1
+      for (e <- into(b)) {
+        val t = bub.tail(e)
+        for (k <- 0 until w) reach(t * w + k) |= reach(b * w + k)
+        outLeft(t) -= 1
+        if (outLeft(t) == 0) { queue(done) = t; done += 1 }
       }
-      out.sorted.toArray
     }
+    require(done == nb, s"bubble ${outLeft.indexWhere(_ > 0)} lies on or leads into a cycle: the out-edges are not a tree")
+    reach
+  }
+
+  /** The converging bubbles `conv` that any of the bubbles `bs` reaches,
+    * ascending: the union of their `reachableConverging` bitsets.
+    */
+  def reachedBy(bs: Array[Int], reach: Array[Long], conv: Array[Int]): Array[Int] = {
+    val w = (conv.length + 63) / 64
+    val bits = new Array[Long](w)
+    for (b <- bs; k <- 0 until w) bits(k) |= reach(b * w + k)
+    conv.indices.filter(j => (bits(j / 64) >>> (j % 64) & 1L) != 0).map(conv(_)).toArray
   }
 
   /** Sum of the graph-edge weights from v to the other members of bubble b
@@ -91,7 +101,7 @@ object Dbht {
     */
   private def weightInto(v: Int, b: Int, bub: Bubbles, g: WGraph, s: SymMatrix): Double = {
     var acc = 0.0
-    for (u <- bub.vertsOf(b)) if (u != v && g.hasEdge(u, v)) acc += s(u, v)
+    for (i <- bub.off(b) until bub.off(b + 1)) { val u = bub.verts(i); if (u != v && g.hasEdge(u, v)) acc += s(u, v) }
     acc
   }
 
@@ -99,13 +109,13 @@ object Dbht {
     * normalized by the bubble's edge count 3(|b|-2).
     */
   private def chi(v: Int, b: Int, bub: Bubbles, g: WGraph, s: SymMatrix): Double =
-    weightInto(v, b, bub, g, s) / (3.0 * (bub.vertsOf(b).length - 2))
+    weightInto(v, b, bub, g, s) / (3.0 * (bub.off(b + 1) - bub.off(b) - 2))
 
   /** Total graph-edge weight within bubble b: the denominator of chi'. */
   private def weightWithin(b: Int, bub: Bubbles, g: WGraph, s: SymMatrix): Double = {
-    val vs = bub.vertsOf(b)
+    val (vs, hi) = (bub.verts, bub.off(b + 1))
     var acc = 0.0
-    for (i <- vs.indices; j <- i + 1 until vs.length) if (g.hasEdge(vs(i), vs(j))) acc += s(vs(i), vs(j))
+    for (i <- bub.off(b) until hi; j <- i + 1 until hi) if (g.hasEdge(vs(i), vs(j))) acc += s(vs(i), vs(j))
     acc
   }
 
@@ -128,10 +138,10 @@ object Dbht {
     */
   private[core] def groupMembers(group: Array[Int], numGroups: Int): Array[Array[Int]] = {
     val size = new Array[Int](numGroups)
-    for (b <- group; if b >= 0) size(b) += 1
+    for (b <- group) if (b >= 0) size(b) += 1
     val out = size.map(new Array[Int](_))
     java.util.Arrays.fill(size, 0)
-    for (v <- group.indices; b = group(v); if b >= 0) { out(b)(size(b)) = v; size(b) += 1 }
+    for (v <- group.indices) { val b = group(v); if (b >= 0) { out(b)(size(b)) = v; size(b) += 1 } }
     out
   }
 
@@ -141,7 +151,7 @@ object Dbht {
     val conv = bub.convergingBubbles
     val isConv = new Array[Boolean](bub.numBubbles)
     conv.foreach(isConv(_) = true)
-    val reach = reachableConverging(bub, par)
+    val reach = reachableConverging(bub)
     val byVertex = bub.bubblesOfVertex
 
     // --- level 1: groups, by max chi over converging bubbles containing v ---
@@ -155,7 +165,7 @@ object Dbht {
     par.parFor(n, grain = 64) { v =>
       if (group(v) == -1) {
         // converging bubbles reachable from any bubble containing v
-        val cand = byVertex(v).flatMap(reach(_)).distinct
+        val cand = reachedBy(byVertex(v), reach, conv)
         // a walk along the out-edges of a finite tree ends at a sink, so
         // only a vertex in no bubble reaches no converging bubble
         require(cand.nonEmpty, s"vertex $v reaches no converging bubble: it lies in no bubble")
@@ -183,7 +193,7 @@ object Dbht {
     val bubbleOf = par.parMap(n, grain = 64) { v =>
       argmax(byVertex(v))(b => if (within(b) == 0.0) 0.0 else weightInto(v, b, bub, g, s) / within(b))
     }
-    Assignments(group, bubbleOf, conv)
+    Assignments(group, bubbleOf)
   }
 
   /** Complete linkage over `clusters`, the distance of points a and b

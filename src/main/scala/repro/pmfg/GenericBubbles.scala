@@ -134,28 +134,22 @@ object GenericBubbles {
     * interior).
     */
   def direct(g: WGraph, s: SymMatrix, dec: Decomposition): Bubbles = {
-    val nb = dec.vertsOf.length
-    val outNbrsB = Array.fill(nb)(new ArrayBuffer[Int]())
-
-    for ((ba, bb, tri) <- dec.treeEdges) {
+    // one (tail, head) pair per tree edge
+    val (tail, head) = dec.treeEdges.map { case (ba, bb, tri) =>
       // side containing bubble ba's non-triangle vertices
       val tset = tri.toSet
       val seedA = dec.vertsOf(ba).find(v => !tset.contains(v))
-      val comps = componentsExcluding(g, (0 until g.n).toArray, tri)
-      val sideA: Set[Int] = seedA match {
-        case Some(seed) => comps.find(_.contains(seed)).map(_.toSet).getOrElse(Set.empty)
-        case None       => Set.empty // degenerate: bubble == triangle (cannot happen for planar max graphs)
-      }
+      require(seedA.nonEmpty, s"bubble $ba has no vertex off its separating triangle ${tri.mkString(",")}")
+      val sideA = componentsExcluding(g, (0 until g.n).toArray, tri).find(_.contains(seedA.get)).get.toSet
       var valA = 0.0
       var valB = 0.0
       for (u <- tri; w <- g.adj(u); if !tset.contains(w)) {
         if (sideA.contains(w)) valA += s(u, w) else valB += s(u, w)
       }
       // INVAL > OUTVAL directs toward the interior; here side A is ba's side
-      if (valA > valB) outNbrsB(bb) += ba
-      else outNbrsB(ba) += bb
-    }
-    Bubbles(g.n, dec.vertsOf.map(_.clone()), outNbrsB.map(_.toArray))
+      if (valA > valB) (bb, ba) else (ba, bb)
+    }.unzip
+    Bubbles(g.n, dec.vertsOf.scanLeft(0)(_ + _.length), dec.vertsOf.flatten, tail, head)
   }
 
   /** Full generic pipeline: decomposition + direction. */

@@ -437,4 +437,47 @@ object TestUtils {
     }
     (inV, outV)
   }
+
+  /** `Bubbles` from a vertex list and an out-neighbour list per bubble;
+    * the edges are numbered bubble by bubble.
+    */
+  def bubbles(n: Int, vertsOf: Array[Array[Int]], outNbrs: Array[Array[Int]]): Bubbles = {
+    val edges = for (b <- outNbrs.indices.toArray; c <- outNbrs(b)) yield (b, c)
+    Bubbles(n, vertsOf.scanLeft(0)(_ + _.length), vertsOf.flatten, edges.map(_._1), edges.map(_._2))
+  }
+
+  /** The out-neighbours of each bubble, in edge order. */
+  def outNbrs(bub: Bubbles): Array[Array[Int]] =
+    Array.tabulate(bub.numBubbles)(b => bub.tail.indices.filter(bub.tail(_) == b).map(bub.head).toArray)
+
+  /** The converging bubbles each bubble reaches, ascending, by one
+    * depth-first walk per bubble along the out-edges (no visited set, as a
+    * directed tree has one path to each bubble it reaches; more than
+    * `numBubbles` pops mean a cycle, which fails).
+    */
+  def reachWalk(bub: Bubbles): Array[Array[Int]] = {
+    val nb = bub.numBubbles
+    val out = outNbrs(bub)
+    Array.tabulate(nb) { start =>
+      val sinks = new ArrayBuffer[Int]()
+      val stack = collection.mutable.Stack(start)
+      var popped = 0
+      while (stack.nonEmpty) {
+        val b = stack.pop()
+        popped += 1
+        require(popped <= nb, s"the walk from bubble $start pops more than $nb bubbles: the out-edges are not a tree")
+        if (out(b).isEmpty) sinks += b
+        out(b).foreach(stack.push)
+      }
+      sinks.sorted.toArray
+    }
+  }
+
+  /** `Dbht.reachableConverging`'s bitsets as the converging bubbles each
+    * bubble reaches, ascending.
+    */
+  def reachSinks(bub: Bubbles): Array[Array[Int]] = {
+    val reach = Dbht.reachableConverging(bub)
+    Array.tabulate(bub.numBubbles)(b => Dbht.reachedBy(Array(b), reach, bub.convergingBubbles))
+  }
 }

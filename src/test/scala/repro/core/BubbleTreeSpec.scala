@@ -106,8 +106,9 @@ class BubbleTreeSpec extends AnyFunSuite {
     assert(tree.innerVert(b1) == 4)
     assert(tree.innerVert(b2) == 2)
     assert(tree.innerVert(b4) == 5)
-    // creation order was b1, b2, b4, b3 -> depths 2, 1, 2, 0
-    assert(tree.depths.toSeq == Seq(2, 1, 2, 0))
+    // creation order was b1, b2, b4, b3 -> depths 2, 1, 2, 0: BFS from b3
+    // meets b2, then its children b1 and b4
+    assert(tree.topoOrder.toSeq == Seq(b3, b2, b1, b4))
   }
 
   test("directions match brute-force BFS interior/exterior computation") {
@@ -141,9 +142,9 @@ class BubbleTreeSpec extends AnyFunSuite {
     val bub = Par.withThreads(2)(par => Dbht.bubblesFromTmfg(res, s, par))
     val conv = bub.convergingBubbles
     assert(conv.nonEmpty, "a finite directed tree must have a sink")
-    for (b <- conv) assert(bub.outNbrs(b).isEmpty)
+    for (b <- conv) assert(TestUtils.outNbrs(bub)(b).isEmpty)
     // total out-degree == number of edges
-    val total = bub.outNbrs.map(_.length).sum
+    val total = TestUtils.outNbrs(bub).map(_.length).sum
     assert(total == res.tree.numBubbles - 1)
   }
 

@@ -51,7 +51,7 @@ class DbhtSpec extends AnyFunSuite {
       val apsp = Apsp.allPairs(res.graph, d, par)
       val bub = Dbht.bubblesFromTmfg(res, s, par)
       val asg = Dbht.assign(bub, res.graph, s, apsp, par)
-      val reach = Dbht.reachableConverging(bub, par)
+      val reach = TestUtils.reachSinks(bub)
       val byVertex = bub.bubblesOfVertex
       for (v <- 0 until 30)
         assert(byVertex(v).exists(b => reach(b).contains(asg.group(v)) || b == asg.group(v)),
@@ -66,20 +66,20 @@ class DbhtSpec extends AnyFunSuite {
       val bubGen = GenericBubbles.bubbles(res.graph, s)
 
       // same bubbles as vertex sets
-      val optSets = bubOpt.vertsOf.map(_.sorted.toSeq).toSet
-      val genSets = bubGen.vertsOf.map(_.sorted.toSeq).toSet
+      val optSets = (0 until bubOpt.numBubbles).map(bubOpt.vertsOf(_).sorted.toSeq).toSet
+      val genSets = (0 until bubGen.numBubbles).map(bubGen.vertsOf(_).sorted.toSeq).toSet
       assert(optSets == genSets, s"seed=$seed prefix=$prefix bubbles differ")
 
       // same undirected tree edges (as pairs of vertex sets): each tree
       // edge is one out-edge, at its tail
       def edgeSets(b: Bubbles): Set[Set[Seq[Int]]] =
-        (for (x <- 0 until b.numBubbles; y <- b.outNbrs(x))
+        (for (x <- 0 until b.numBubbles; y <- TestUtils.outNbrs(b)(x))
           yield Set(b.vertsOf(x).sorted.toSeq, b.vertsOf(y).sorted.toSeq)).toSet
       assert(edgeSets(bubOpt) == edgeSets(bubGen), s"seed=$seed prefix=$prefix tree differs")
 
       // same directed edges
       def directedSets(b: Bubbles): Set[(Seq[Int], Seq[Int])] =
-        (for (x <- 0 until b.numBubbles; y <- b.outNbrs(x))
+        (for (x <- 0 until b.numBubbles; y <- TestUtils.outNbrs(b)(x))
           yield (b.vertsOf(x).sorted.toSeq, b.vertsOf(y).sorted.toSeq)).toSet
       assert(directedSets(bubOpt) == directedSets(bubGen), s"seed=$seed prefix=$prefix directions differ")
     }
@@ -95,7 +95,7 @@ class DbhtSpec extends AnyFunSuite {
         val bubO = Dbht.bubblesFromTmfg(res, s, par)
         val bubG = GenericBubbles.bubbles(res.graph, s)
         // map generic bubble ids -> optimized ids via vertex sets
-        val optIdOf = bubO.vertsOf.zipWithIndex.map { case (vs, i) => vs.sorted.toSeq -> i }.toMap
+        val optIdOf = (0 until bubO.numBubbles).map(i => bubO.vertsOf(i).sorted.toSeq -> i).toMap
         val asgO = Dbht.assign(bubO, res.graph, s, apsp, par)
         val asgG = Dbht.assign(bubG, res.graph, s, apsp, par)
         for (v <- 0 until 30) {
@@ -106,8 +106,9 @@ class DbhtSpec extends AnyFunSuite {
         // order-sensitive height assignment sees identical input
         val asgGmapped = Dbht.Assignments(
           asgG.group.map(b => optIdOf(bubG.vertsOf(b).sorted.toSeq)),
-          asgG.bubble.map(b => optIdOf(bubG.vertsOf(b).sorted.toSeq)),
-          asgG.converging.map(b => optIdOf(bubG.vertsOf(b).sorted.toSeq)))
+          asgG.bubble.map(b => optIdOf(bubG.vertsOf(b).sorted.toSeq)))
+        assert(bubG.convergingBubbles.map(b => optIdOf(bubG.vertsOf(b).sorted.toSeq)).sorted
+          .sameElements(bubO.convergingBubbles), s"seed=$seed converging bubbles differ")
         val denO = Dbht.dendrogram(30, asgO, apsp, par)
         val denG = Dbht.dendrogram(30, asgGmapped, apsp, par)
         assert(denO.left.sameElements(denG.left) && denO.right.sameElements(denG.right),
@@ -189,15 +190,15 @@ class DbhtSpec extends AnyFunSuite {
                         Array(3, 4, 5, 6), Array(0, 1, 3, 4), Array(1, 2, 4, 5))
     val outNbrs = Array(Array.emptyIntArray, Array.emptyIntArray, Array.emptyIntArray,
                         Array(2), Array(0, 2), Array(1, 2))
-    val bub = Bubbles(7, vertsOf, outNbrs)
+    val bub = TestUtils.bubbles(7, vertsOf, outNbrs)
     val s = SymMatrix.zeros(7)
     for (i <- 0 until 7; j <- i until 7) s.update(i, j, if (i == j) 1.0 else 0.5)
     s.update(0, 1, 0.9); s.update(0, 2, 0.9); s.update(0, 3, 0.9); s.update(4, 5, 0.9)
     val g = WGraph.fromEdges(7, for (i <- 0 until 7; j <- i + 1 until 7) yield (i, j))
     val apsp = Par.withThreads(1)(par => Apsp.allPairs(g, Correlation.dissimilarity(s), par))
     val runs = Seq(1, 4).map(t => Par.withThreads(t)(par => Dbht.assign(bub, g, s, apsp, par)))
+    assert(bub.convergingBubbles.toSeq == Seq(0, 1, 2))
     for (asg <- runs) {
-      assert(asg.converging.toSeq == Seq(0, 1, 2))
       assert(asg.group.toSeq == Seq(0, 0, 0, 0, 1, 1, 2), "only vertex 6 in bubble 2's group")
       assert(asg.bubble(6) == 3)
     }
@@ -213,7 +214,7 @@ class DbhtSpec extends AnyFunSuite {
     val g = WGraph.fromEdges(n, for (i <- 0 until n; j <- i + 1 until n) yield (i, j))
     Par.withThreads(1) { par =>
       val apsp = Apsp.allPairs(g, Correlation.dissimilarity(s), par)
-      intercept[IllegalArgumentException](Dbht.assign(Bubbles(n, vertsOf, outNbrs), g, s, apsp, par)).getMessage
+      intercept[IllegalArgumentException](Dbht.assign(TestUtils.bubbles(n, vertsOf, outNbrs), g, s, apsp, par)).getMessage
     }
   }
 
@@ -227,6 +228,48 @@ class DbhtSpec extends AnyFunSuite {
     // 0 -> 1 -> 0: a walk along out-edges never ends at a sink
     val msg = assignFailure(5, Array(Array(0, 1, 2, 3), Array(1, 2, 3, 4)), Array(Array(1), Array(0)))
     assert(msg.contains("the out-edges are not a tree"), msg)
+    // the same cycle beside a valid sink 2: the pass back from the sink
+    // never reaches bubbles 0 and 1
+    val beside = assignFailure(6, Array(Array(0, 1, 2, 3), Array(1, 2, 3, 4), Array(2, 3, 4, 5)),
+      Array(Array(1), Array(0), Array.emptyIntArray))
+    assert(beside.contains("the out-edges are not a tree"), beside)
+  }
+
+  test("the reach bitsets equal a walk per bubble, on random directed trees and a star of 130 sinks") {
+    // a random tree: bubble b >= 1 hangs under a random earlier bubble,
+    // the edge pointing either way
+    val words = for (nb <- Seq(1, 2, 50, 300); seed <- 1L to 5L) yield {
+      val rng = new scala.util.Random(seed)
+      val outNbrs = Array.fill(nb)(Array.emptyIntArray)
+      for (b <- 1 until nb) {
+        val p = rng.nextInt(b)
+        if (rng.nextBoolean()) outNbrs(p) :+= b else outNbrs(b) :+= p
+      }
+      val bub = TestUtils.bubbles(nb, Array.tabulate(nb)(Array(_)), outNbrs)
+      val (bits, walk) = (TestUtils.reachSinks(bub), TestUtils.reachWalk(bub))
+      for (b <- 0 until nb) assert(bits(b).sameElements(walk(b)), s"nb=$nb seed=$seed bubble $b")
+      (bub.convergingBubbles.length + 63) / 64
+    }
+    // a star: bubble 0 points to 130 sinks, and bubble 131 points to 0
+    val outNbrs = Array.tabulate(132)(b => if (b == 0) (1 to 130).toArray else if (b == 131) Array(0) else Array.emptyIntArray)
+    val star = TestUtils.bubbles(132, Array.tabulate(132)(Array(_)), outNbrs)
+    val reach = TestUtils.reachSinks(star)
+    assert(star.convergingBubbles.sameElements(1 to 130))
+    assert(reach(0).sameElements(1 to 130) && reach(131).sameElements(1 to 130))
+    for (b <- 1 to 130) assert(reach(b).sameElements(Seq(b)), s"sink $b")
+    assert(reach.map(_.toSeq).toSeq == TestUtils.reachWalk(star).map(_.toSeq).toSeq)
+    // the random trees' bitsets take one and two words; the star's 130 take three
+    assert(words.contains(1) && words.contains(2), s"words per bitset: $words")
+  }
+
+  test("the TMFG bubbles are the tree's cliques, not a copy") {
+    val s = TestUtils.randomSim(30, 5)
+    Par.withThreads(2) { par =>
+      val res = Tmfg.build(s, 3, par)
+      val bub = Dbht.bubblesFromTmfg(res, s, par)
+      assert(bub.verts eq res.tree.cliques)
+      assert(bub.off.sameElements(0 to 4 * res.tree.numBubbles by 4))
+    }
   }
 
   test("each group's plan merges within subgroups by ascending bubble id, then across them; heights follow it") {

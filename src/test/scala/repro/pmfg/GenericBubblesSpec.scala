@@ -78,8 +78,15 @@ class GenericBubblesSpec extends AnyFunSuite {
     val res = tmfg(20, 2, 8)
     val s = TestUtils.randomSim(20, 8)
     val bub = GenericBubbles.bubbles(res.graph, s)
-    val totalOut = (0 until bub.numBubbles).map(bub.outNbrs(_).length).sum
+    val totalOut = (0 until bub.numBubbles).map(TestUtils.outNbrs(bub)(_).length).sum
     assert(totalOut == bub.numBubbles - 1)
+  }
+
+  test("direct fails, naming the bubble and the triangle, when a bubble equals its separating triangle") {
+    val g = WGraph.fromEdges(4, for (i <- 0 until 4; j <- i + 1 until 4) yield (i, j))
+    val dec = GenericBubbles.Decomposition(Array(Array(0, 1, 2), Array(0, 1, 2, 3)), Array((0, 1, Array(0, 1, 2))))
+    val msg = intercept[IllegalArgumentException](GenericBubbles.direct(g, TestUtils.randomSim(4, 1), dec)).getMessage
+    assert(msg.contains("bubble 0 has no vertex off its separating triangle 0,1,2"), msg)
   }
 
   test("separating triangles of a TMFG are exactly the non-root sep triangles") {
