@@ -39,12 +39,16 @@ object Correlation {
     }
   }
 
-  /** Rows per parallel task; one block's chunk of series (32 x 512
-    * doubles, 128 KiB) stays in L2 while the other rows stream past it.
+  /** Rows per parallel task; each task accumulates its rows' cells in
+    * `RowBlock` rows of its own.
     */
   private final val RowBlock = 32
-  /** Series positions per pass over a block (4 KiB of each row). */
-  private final val KChunk = 512
+  /** Columns per panel: one chunk of a panel (`KChunk` x `Panel` doubles,
+    * 256 KiB) stays in L2 while the block's row groups pass over it.
+    */
+  private final val Panel = 256
+  /** Series positions per pass over a panel. */
+  private final val KChunk = 128
 
   /** Number of `RowBlock`-row blocks of an n-row matrix. */
   def numBlocks(n: Int): Int = (n + RowBlock - 1) / RowBlock
@@ -53,63 +57,83 @@ object Correlation {
   def blockRows(n: Int, b: Int): (Int, Int) = (b * RowBlock, math.min(n, (b + 1) * RowBlock))
 
   /** Full Pearson correlation matrix of the given series (rows = objects).
-    * Diagonal is 1. One task per block of `RowBlock` rows on `exec`, with
-    * the z-scored series shared: each block runs `upperBlock`, then
-    * `mirrorBlock` on the output.
+    * Diagonal is 1. The z-scored series are transposed once, to
+    * `zt(k)(i)` = position k of row i, and shared; one task per block of
+    * `RowBlock` rows on `exec` runs `upperBlock`, then `mirrorBlock` on
+    * the output.
     */
   def pearson(rows: Array[Array[Double]], exec: Exec): SymMatrix = {
-    val z = zscore(rows)
-    val n = z.length
-    val m = SymMatrix.zeros(n)
-    exec.share(z) { zs =>
+    val z   = zscore(rows)
+    val n   = z.length
+    val len = if (n == 0) 0 else z(0).length
+    val zt  = Array.ofDim[Double](len, n)
+    var i = 0
+    while (i < n) { val r = z(i); var k = 0; while (k < len) { zt(k)(i) = r(k); k += 1 }; i += 1 }
+    val m   = SymMatrix.zeros(n)
+    exec.share(zt) { zts =>
       exec.fillRows(m.data, n, numBlocks(n))(blockRows(n, _))(
-        (b, a, off) => upperBlock(zs(), b, a, off))(mirrorBlock(m.data, n, _))
+        (b, a, off) => upperBlock(zts(), n, b, a, off))(mirrorBlock(m.data, n, _))
     }
     m
   }
 
   /** Writes the upper-triangle cells (i, j), j > i, of block b's rows i
-    * of the correlation matrix of the z-scored rows `z` (n = z.length),
-    * storing cell (i, j) at `a(i*n + j - off)`. Those cells of `a` must
-    * hold 0.0 on entry. Blocks write disjoint cells.
+    * of the n x n correlation matrix of the transposed z-scored series
+    * `zt` (`zt(k)(i)` = position k of row i), storing cell (i, j) at
+    * `a(i*n + j - off)`. Blocks write disjoint cells.
     *
-    * Each entry is the dot product of two z-scored rows, summed into one
-    * accumulator from 0.0 in position order with plain multiply and add
-    * (no FMA, no split sums), so every value is bit-identical to the
-    * one-pair-at-a-time loop. The speed comes from computing a 2 x 4 tile
-    * of pairs per step (8 independent sums, 6 loads) and walking the
-    * series in `KChunk` chunks. The block keeps its partial sums in its
-    * output cells between chunks (storing and reloading a double is exact).
+    * The block sums into `RowBlock` accumulator rows of its own, one per
+    * row, indexed by the column j, and copies them out at the end. For
+    * each panel of `Panel` columns and each chunk of `KChunk` positions,
+    * the block's rows pass over the panel four at a time (`addGroup`).
+    * Each cell is one accumulator that starts at 0.0 (a cell belongs to
+    * one panel) and adds `z_i(k) * z_j(k)` for k = 0 until L in order.
     */
-  def upperBlock(z: Array[Array[Double]], b: Int, a: Array[Double], off: Int): Unit = {
-    val n   = z.length
-    val len = if (n == 0) 0 else z(0).length
+  def upperBlock(zt: Array[Array[Double]], n: Int, b: Int, a: Array[Double], off: Int): Unit = {
     val (i0, i1) = blockRows(n, b)
-    var k0 = 0
-    while (k0 < len) {
-      val k1 = math.min(len, k0 + KChunk)
-      // pairs within the block: rows i, i+1 against the rows after them
-      // (an odd last row has none)
-      var i = i0
-      while (i + 1 < i1) {
-        dot(z, a, n, off, i, i + 1, k0, k1)
-        var j = i + 2
-        while (j + 4 <= i1) { tile(z, a, n, off, i, j, k0, k1); j += 4 }
-        while (j < i1) { dot(z, a, n, off, i, j, k0, k1); dot(z, a, n, off, i + 1, j, k0, k1); j += 1 }
-        i += 2
+    val acc = Array.ofDim[Double](RowBlock, n)
+    var j0 = i0 + 1
+    while (j0 < n) {
+      val j1 = math.min(n, j0 + Panel)
+      var k0 = 0
+      while (k0 < zt.length) {
+        val k1 = math.min(zt.length, k0 + KChunk)
+        var i = i0
+        while (i < i1) { addGroup(zt, acc, i - i0, i, i1, math.max(j0, i + 1), j1, k0, k1); i += 4 }
+        k0 = k1
       }
-      // the block against every later row: each 4-row tile of later
-      // rows stays in L1 while the block's row pairs pass over it. A
-      // block with later rows has RowBlock rows, an even number.
-      var j = i1
-      while (j + 4 <= n) {
-        i = i0
-        while (i < i1) { tile(z, a, n, off, i, j, k0, k1); i += 2 }
-        j += 4
+      j0 = j1
+    }
+    var i = i0
+    while (i < i1) { System.arraycopy(acc(i - i0), i + 1, a, i * n + i + 1 - off, n - i - 1); i += 1 }
+  }
+
+  /** Adds `z_i(k) * z_j(k)` for k = k0 until k1, in order, to `acc(r + i - ia)(j)`
+    * for the rows i = ia..ia+3 and the columns j = js until j1. Rows at or
+    * past i1 repeat row i1 - 1 into spare accumulator rows.
+    *
+    * There is one loop over j per position k, and every array in it is
+    * indexed by j alone: that is what lets C2 vectorise it. An offset on
+    * any index (`y(c + j)`), or a larger body (eight rows, or two
+    * positions per loop), stops it. Each step is a separate multiply and
+    * add (Java never fuses them, and vector lanes round per lane), so every
+    * value is bit-identical to the one-pair-at-a-time loop.
+    */
+  private def addGroup(zt: Array[Array[Double]], acc: Array[Array[Double]], r: Int, ia: Int, i1: Int,
+                       js: Int, j1: Int, k0: Int, k1: Int): Unit = {
+    val ib = math.min(ia + 1, i1 - 1); val ic = math.min(ia + 2, i1 - 1); val id = math.min(ia + 3, i1 - 1)
+    val a0 = acc(r); val a1 = acc(r + 1); val a2 = acc(r + 2); val a3 = acc(r + 3)
+    var k = k0
+    while (k < k1) {
+      val y = zt(k)
+      val x0 = y(ia); val x1 = y(ib); val x2 = y(ic); val x3 = y(id)
+      var j = js
+      while (j < j1) {
+        val v = y(j)
+        a0(j) += x0 * v; a1(j) += x1 * v; a2(j) += x2 * v; a3(j) += x3 * v
+        j += 1
       }
-      i = i0
-      while (i < i1) { var c = j; while (c < n) { dot(z, a, n, off, i, c, k0, k1); c += 1 }; i += 1 }
-      k0 = k1
+      k += 1
     }
   }
 
@@ -131,41 +155,6 @@ object Correlation {
       while (i < end) { a(r + i) = a(i * n + j); i += 1 }
       j += 1
     }
-  }
-
-  /** Adds positions k0 until k1 of the pairs (i..i+1) x (j..j+3) to their
-    * cells (i, j..j+3) and (i+1, j..j+3), stored at `a(i*n + j - off)`,
-    * one accumulator per pair.
-    */
-  private def tile(z: Array[Array[Double]], a: Array[Double], n: Int, off: Int, i: Int, j: Int,
-                   k0: Int, k1: Int): Unit = {
-    val x0 = z(i); val x1 = z(i + 1)
-    val y0 = z(j); val y1 = z(j + 1); val y2 = z(j + 2); val y3 = z(j + 3)
-    val r0 = i * n + j - off
-    val r1 = r0 + n
-    var s00 = a(r0); var s01 = a(r0 + 1); var s02 = a(r0 + 2); var s03 = a(r0 + 3)
-    var s10 = a(r1); var s11 = a(r1 + 1); var s12 = a(r1 + 2); var s13 = a(r1 + 3)
-    var k = k0
-    while (k < k1) {
-      val u0 = x0(k); val u1 = x1(k)
-      val v0 = y0(k); val v1 = y1(k); val v2 = y2(k); val v3 = y3(k)
-      s00 += u0 * v0; s01 += u0 * v1; s02 += u0 * v2; s03 += u0 * v3
-      s10 += u1 * v0; s11 += u1 * v1; s12 += u1 * v2; s13 += u1 * v3
-      k += 1
-    }
-    a(r0) = s00; a(r0 + 1) = s01; a(r0 + 2) = s02; a(r0 + 3) = s03
-    a(r1) = s10; a(r1 + 1) = s11; a(r1 + 2) = s12; a(r1 + 3) = s13
-  }
-
-  /** Adds positions k0 until k1 of the pair (i, j) to its cell at `a(i*n + j - off)`. */
-  private def dot(z: Array[Array[Double]], a: Array[Double], n: Int, off: Int, i: Int, j: Int,
-                  k0: Int, k1: Int): Unit = {
-    val x = z(i); val y = z(j)
-    val r = i * n + j - off
-    var s = a(r)
-    var k = k0
-    while (k < k1) { s += x(k) * y(k); k += 1 }
-    a(r) = s
   }
 
   /** Dissimilarity d = sqrt(2(1-p)) from a correlation (similarity)

@@ -17,8 +17,12 @@ final case class Bubbles(n: Int, off: Array[Int], verts: Array[Int], tail: Array
 
   def vertsOf(b: Int): Array[Int] = verts.slice(off(b), off(b + 1))
 
-  /** The bubbles with no out-edge, ascending. */
-  def convergingBubbles: Array[Int] = Array.range(0, numBubbles).diff(tail)
+  /** The bubbles with no out-edge, ascending; computed once. */
+  lazy val convergingBubbles: Array[Int] = {
+    val hasOut = new Array[Boolean](numBubbles)
+    for (t <- tail) hasOut(t) = true
+    Array.range(0, numBubbles).filter(!hasOut(_))
+  }
 
   /** bubble ids containing each vertex, ascending: one counting pass over `verts`. */
   def bubblesOfVertex: Array[Array[Int]] = {

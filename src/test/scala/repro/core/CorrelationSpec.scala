@@ -82,8 +82,12 @@ class CorrelationSpec extends AnyFunSuite {
   }
 
   test("pearson is bit-identical to the one-pair loop at every tile and chunk edge") {
+    // n: partial four-row groups (15, 17), a partial block (47), one full
+    // 256-column panel in block 0 (257) and a second panel (300); L: around
+    // the 128-position chunk (127..129) and longer series
     val rng = new Random(5)
-    for (n <- Seq(1, 2, 3, 4, 5, 7, 33, 65, 130); len <- Seq(2, 3, 511, 512, 513, 1100)) {
+    for (n <- Seq(1, 2, 3, 4, 5, 7, 15, 16, 17, 33, 47, 65, 130, 257, 300);
+         len <- Seq(2, 3, 127, 128, 129, 511, 512, 513, 1100)) {
       val rows = Array.fill(n)(Array.fill(len)(rng.nextGaussian()))
       if (n >= 3) rows(n / 2) = Array.fill(len)(2.5)      // constant: z-scores to zeros
       if (n >= 4) rows(n - 1) = rows(1).clone()           // duplicate of row 1

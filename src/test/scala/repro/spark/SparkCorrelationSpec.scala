@@ -26,9 +26,11 @@ class SparkCorrelationSpec extends SparkSpec {
 
   test("block-shaped spark correlation is bit-identical to the kernel pearson") {
     // n: one partial block, a full one, one row over (an odd last block),
-    // and two full blocks plus one row; L = 513 crosses a 512-position chunk
+    // two full blocks plus one row, and a second 256-column panel (300),
+    // each task writing a strip at an offset; L = 129 ends in a partial
+    // 128-position chunk
     val rng = new Random(4)
-    for (n <- Seq(4, 31, 32, 33, 65); len <- Seq(40, 513)) {
+    for (n <- Seq(4, 31, 32, 33, 65, 300); len <- Seq(40, 129, 513)) {
       val rows    = Array.fill(n)(Array.fill(len)(rng.nextGaussian()))
       val sparkM  = onSpark(Correlation.pearson(rows, _))
       val kernelM = Par.withThreads(4)(par => Correlation.pearson(rows, par))
