@@ -235,6 +235,20 @@ class DbhtSpec extends AnyFunSuite {
     assert(beside.contains("the out-edges are not a tree"), beside)
   }
 
+  test("convergingBubbles is every bubble with no out-edge, ascending, built once") {
+    for (nb <- Seq(1, 2, 50, 300); seed <- 1L to 3L) {
+      val rng = new scala.util.Random(seed)
+      val outNbrs = Array.fill(nb)(Array.emptyIntArray)
+      for (b <- 1 until nb) {
+        val p = rng.nextInt(b)
+        if (rng.nextBoolean()) outNbrs(p) :+= b else outNbrs(b) :+= p
+      }
+      val bub = TestUtils.bubbles(nb, Array.tabulate(nb)(Array(_)), outNbrs)
+      assert(bub.convergingBubbles.sameElements((0 until nb).filter(outNbrs(_).isEmpty)), s"nb=$nb seed=$seed")
+      assert(bub.convergingBubbles eq bub.convergingBubbles)
+    }
+  }
+
   test("the reach bitsets equal a walk per bubble, on random directed trees and a star of 130 sinks") {
     // a random tree: bubble b >= 1 hangs under a random earlier bubble,
     // the edge pointing either way
