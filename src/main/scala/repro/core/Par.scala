@@ -1,6 +1,6 @@
 package repro.core
 
-import java.util.concurrent.{Callable, ExecutorService, Executors, TimeUnit}
+import java.util.concurrent.{Callable, ExecutionException, ExecutorService, Executors, TimeUnit}
 import java.util.concurrent.atomic.AtomicInteger
 
 /** Thread-pool parallel-for substrate.
@@ -23,7 +23,9 @@ final class Par(val threads: Int) extends Exec with AutoCloseable {
   private val pool: ExecutorService =
     if (threads == 1) null else Executors.newFixedThreadPool(threads)
 
-  /** Parallel `for (i <- 0 until n) body(i)` with dynamic chunking. */
+  /** Parallel `for (i <- 0 until n) body(i)` with dynamic chunking. An
+    * exception from `body` reaches the caller as thrown, at any thread count.
+    */
   def parFor(n: Int, grain: Int = 1)(body: Int => Unit): Unit = {
     if (n <= 0) return
     if (threads == 1 || n <= grain) {
@@ -48,9 +50,11 @@ final class Par(val threads: Int) extends Exec with AutoCloseable {
       t += 1
     }
     val futures = pool.invokeAll(tasks)
-    // surface worker exceptions to the caller
+    // rethrow a worker's own exception, as the one-thread loop throws it
     val it = futures.iterator()
-    while (it.hasNext) it.next().get()
+    while (it.hasNext)
+      try it.next().get()
+      catch { case e: ExecutionException if e.getCause != null => throw e.getCause }
   }
 
   /** Parallel map over 0 until n into a fresh array. */

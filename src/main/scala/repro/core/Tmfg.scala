@@ -23,9 +23,10 @@ final case class TmfgResult(graph: WGraph, tree: BubbleTree, rounds: Int,
   * sequential TMFG of Massara et al. exactly.
   *
   * The GAINS table is maintained incrementally: each face caches its best
-  * remaining vertex, and each vertex keeps a reverse index of the faces
-  * it is currently best for (the paper's optimization over rescanning all
-  * faces). A scan of a face keeps its first `K` remaining vertices in
+  * remaining vertex, and after a round only the faces whose cached best
+  * vertex the batch inserted are updated (the paper's optimization over
+  * rescanning all faces); the round's one pass over the alive faces finds
+  * them. A scan of a face keeps its first `K` remaining vertices in
   * (gain desc, vertex asc) order, its candidate list. When a face's best
   * vertex is inserted, its new best is the first listed vertex that still
   * remains: a face's gains never change and the remaining set only
@@ -235,12 +236,6 @@ object Tmfg {
       val candG    = new Array[Double](K * maxFaces)
       val candLen  = new Array[Int](maxFaces)
       val candHead = new Array[Int](maxFaces)
-      // reverse index: the faces whose cached best vertex is v, a list
-      // linked through nextOfBest from firstOfBest(v) and ended by -1. A face
-      // is in the list of its current best vertex only; a killed face stays
-      // in its list and is skipped when the list is walked
-      val firstOfBest = Array.fill(n)(-1)
-      val nextOfBest  = new Array[Int](maxFaces)
 
       // the bubble tree (Algorithm 2): bubble b is cliques(4b until 4b+4),
       // the seed clique, then per insertion its face and the new vertex
@@ -264,9 +259,7 @@ object Tmfg {
       def setBest(f: Int, h: Int): Unit = {
         candHead(f) = h
         if (h < candLen(f)) {
-          val v = candV(K * f + h)
-          bestV(f) = v; bestGain(f) = candG(K * f + h)
-          nextOfBest(f) = firstOfBest(v); firstOfBest(v) = f
+          bestV(f) = candV(K * f + h); bestGain(f) = candG(K * f + h)
         } else {
           bestV(f) = -1; bestGain(f) = Double.NegativeInfinity
         }
@@ -353,34 +346,27 @@ object Tmfg {
         remCount = w
 
         // update the alive-face list: drop killed faces, append the new ones
-        // (so far the only entries of `dirty`)
+        // (so far the only entries of `dirty`). A kept face whose cached best
+        // vertex the batch inserted is stale: it moves to the next listed
+        // vertex that remains, or is rescanned when a full list runs out
+        val numNew = numDirty
         w = 0
         i = 0
         while (i < aliveCount) {
           val f = alive(i)
-          if (faceAlive(f)) { alive(w) = f; w += 1 }
+          if (faceAlive(f)) {
+            alive(w) = f; w += 1
+            if (bestV(f) >= 0 && inserted(bestV(f))) {
+              var h = candHead(f) + 1
+              while (h < candLen(f) && inserted(candV(K * f + h))) h += 1
+              if (h < candLen(f) || candLen(f) < K) setBest(f, h)
+              else { dirty(numDirty) = f; numDirty += 1 }
+            }
+          }
           i += 1
         }
-        System.arraycopy(dirty, 0, alive, w, numDirty)
-        aliveCount = w + numDirty
-
-        // stale faces, once the whole batch is in: move to the next listed
-        // vertex that remains; rescan when a full list runs out
-        for (f <- selected) {
-          val v = bestV(f)
-          var g = firstOfBest(v)
-          firstOfBest(v) = -1
-          while (g >= 0) {
-            val next = nextOfBest(g) // setBest links g into another list
-            if (faceAlive(g)) {
-              var h = candHead(g) + 1
-              while (h < candLen(g) && inserted(candV(K * g + h))) h += 1
-              if (h < candLen(g) || candLen(g) < K) setBest(g, h)
-              else { dirty(numDirty) = g; numDirty += 1 }
-            }
-            g = next
-          }
-        }
+        System.arraycopy(dirty, 0, alive, w, numNew)
+        aliveCount = w + numNew
       }
 
       TmfgResult(WGraph.fromEdges(n, eu, ev), new BubbleTree(cliques, parent, root), rounds, insertionOrder)

@@ -66,6 +66,12 @@ class ParSpec extends AnyFunSuite {
     }
   }
 
+  test("a worker's exception reaches the caller as thrown, not wrapped") {
+    Par.withThreads(4) { par =>
+      intercept[IllegalStateException](par.parFor(1000)(i => if (i == 777) throw new IllegalStateException("boom")))
+    }
+  }
+
   test("threads < 1 is rejected") {
     intercept[IllegalArgumentException](new Par(0))
   }
