@@ -303,8 +303,9 @@ object Tmfg {
           setBest(f, 0)
         }
 
-        // --- Lines 9-10: pick up to `prefix` vertex-face pairs ---
-        val selected = selectBatch(alive, aliveCount, bestV, bestGain, prefix)
+        // --- Lines 9-10: pick up to `prefix` vertex-face pairs; a batch
+        // holds distinct remaining vertices, so never more than remCount ---
+        val selected = selectBatch(alive, aliveCount, bestV, bestGain, math.min(prefix, remCount))
         if (selected.isEmpty)
           throw new IllegalStateException(
             s"round $rounds found no face with a best vertex while $remCount vertices remain")

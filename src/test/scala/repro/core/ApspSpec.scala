@@ -118,11 +118,7 @@ class ApspSpec extends AnyFunSuite {
     val inputs = Seq(
       "duplicated rows"   -> TestUtils.tmfgOfCopies(20, 21)(identity),
       "perturbed by 1e-9" -> TestUtils.tmfgOfCopies(20, 22)(x => x + 1e-9 * rng.nextGaussian()))
-    for ((what, (g, d)) <- inputs) {
-      val e = Apsp.edges(g, d)
-      assert(e.w.exists(_ < e.delta), s"$what: input has an edge lighter than the bucket width")
-      assertBitExact(g, d, what)
-    }
+    for ((what, (g, d)) <- inputs) assertBitExact(g, d, what)
   }
 
   test("bit-identical on a 300-vertex path whose distances wrap the bucket ring many times") {
@@ -130,8 +126,6 @@ class ApspSpec extends AnyFunSuite {
     val g = WGraph.fromEdges(n, (0 until n - 1).map(i => (i, i + 1)))
     val d = SymMatrix.zeros(n)
     for (i <- 0 until n - 1) d.update(i, i + 1, if (i % 2 == 0) 1.0 else 64.0)
-    val e = Apsp.edges(g, d)
-    assert(TestUtils.sssp(g, d, 0)(n - 1) / e.delta > 100 * e.ring)
     assertBitExact(g, d, "path")
   }
 
@@ -148,20 +142,57 @@ class ApspSpec extends AnyFunSuite {
     assertBitExact(g, d, "disconnected")
   }
 
-  test("each reachable vertex is scanned once per source when no edge is lighter than the bucket width") {
-    // weights 1 + k/4 <= 16 are exact in binary, so Δ = w_min = 1 and every
-    // sum and bucket index is exact: a vertex's distance cannot fall after
-    // its scan, and only a repeated entry could scan it again
-    val (g, _) = TestUtils.tmfgWithD(TestUtils.randomSim(80, 10), 2)
-    val rng = new scala.util.Random(10)
-    val d = SymMatrix.zeros(g.n)
-    for ((u, v) <- g.edges) d.update(u, v, 1.0 + rng.nextInt(61) / 4.0)
-    d.update(g.edges.head._1, g.edges.head._2, 1.0)
+  /** `row`'s return value, the labels the check and the repair lowered,
+    * from every source of `g`.
+    */
+  private def repairs(g: WGraph, d: SymMatrix): Array[Int] = {
     val e = Apsp.edges(g, d)
-    assert(e.delta == 1.0)
     val work = new Apsp.Workspace(e)
     val out = new Array[Double](g.n)
-    for (src <- 0 until g.n) assert(Apsp.row(e, src, out, 0, work) == g.n, s"source $src")
+    Array.tabulate(g.n)(src => Apsp.row(e, src, out, 0, work))
+  }
+
+  test("bit-identical on a PMFG, which is not chordal, with the repair lowering labels") {
+    val s = TestUtils.randomSim(60, 12)
+    val g = repro.pmfg.Pmfg.build(s)
+    val d = Correlation.dissimilarity(s)
+    assertBitExact(g, d, "PMFG")
+    val r = repairs(g, d)
+    info(s"${r.count(_ > 0)} of ${g.n} sources repaired")
+    assert(r.exists(_ > 0), "no source needed a repair")
+  }
+
+  test("the sweep alone is exact on TMFGs of generated series: the repair lowers no label") {
+    for (seed <- 1L to 3L; prefix <- Seq(1, 10)) {
+      val ds = repro.data.TimeSeriesGen.make("sweep", 300, 64, 6, noise = 1.0, seed = seed)
+      val (g, d) = TestUtils.tmfgWithD(Par.withThreads(4)(par => Correlation.pearson(ds.data, par)), prefix)
+      val r = repairs(g, d)
+      assert(r.forall(_ == 0), s"seed $seed prefix $prefix: ${r.count(_ > 0)} sources repaired")
+    }
+  }
+
+  test("on a TMFG the MCS order is a perfect elimination order with three earlier neighbours") {
+    val (g, d) = TestUtils.tmfgWithD(TestUtils.randomSim(200, 13), 5)
+    val e = Apsp.edges(g, d)
+    assert(e.ord.sorted.sameElements(Array.range(0, g.n)) && (0 until g.n).forall(p => e.pos(e.ord(p)) == p))
+    for (p <- 0 until g.n) {
+      val earlier = e.pre.slice(e.preOff(p), e.preOff(p + 1))
+      assert(earlier.length == math.min(p, 3), s"position $p")
+      for (a <- earlier; b <- earlier if a < b) assert(g.hasEdge(e.ord(a), e.ord(b)), s"position $p")
+    }
+  }
+
+  test("Edges serializes to O(n) bytes, not an n x n array") {
+    // with m = 3n - 6 edges the arrays hold 4n + 3m + 2 ints and 3m
+    // doubles, about 124n bytes; an n x n matrix of doubles is 8n^2
+    val n = 2000
+    val (g, d) = TestUtils.tmfgWithD(TestUtils.randomSim(n, 14), 10)
+    val buf = new java.io.ByteArrayOutputStream()
+    val out = new java.io.ObjectOutputStream(buf)
+    out.writeObject(Apsp.edges(g, d))
+    out.close()
+    info(s"${buf.size} bytes at n = $n")
+    assert(buf.size < 128 * n, s"${buf.size} bytes")
   }
 
   for ((what, bad) <- Seq("NaN" -> Double.NaN, "Infinity" -> Double.PositiveInfinity, "-0.5" -> -0.5))
