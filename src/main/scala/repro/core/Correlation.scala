@@ -20,23 +20,81 @@ object Correlation {
     */
   def zscore(rows: Array[Array[Double]]): Array[Array[Double]] = {
     val len = if (rows.isEmpty) 0 else rows(0).length
-    rows.indices.foreach { i =>
-      val r = rows(i)
-      require(r.length == len, s"row $i has length ${r.length} but row 0 has length $len")
-      require(len >= 2, s"row $i has length $len: a correlation needs at least 2 values")
-      val bad = r.indexWhere(x => !java.lang.Double.isFinite(x))
-      require(bad < 0, s"row $i has the non-finite value ${r(bad)} at position $bad")
-    }
+    rows.indices.foreach { i => val v = violation(rows, i, len); require(v == null, v) }
     rows.map { r =>
-      val n    = r.length
-      val mean = r.sum / n
-      var ss   = 0.0
-      var i = 0
-      while (i < n) { val d = r(i) - mean; ss += d * d; i += 1 }
-      val norm = math.sqrt(ss)
-      if (norm == 0.0) new Array[Double](n)
-      else r.map(x => (x - mean) / norm)
+      val mean = rowMean(r)
+      val norm = rowNorm(r, mean)
+      val z    = new Array[Double](r.length)
+      if (norm != 0.0) { var k = 0; while (k < r.length) { z(k) = (r(k) - mean) / norm; k += 1 } }
+      z
     }
+  }
+
+  /** Null if row i meets `zscore`'s contract for rows of length `len`,
+    * else the reason it does not.
+    */
+  private def violation(rows: Array[Array[Double]], i: Int, len: Int): String = {
+    val r = rows(i)
+    if (r.length != len) s"row $i has length ${r.length} but row 0 has length $len"
+    else if (len < 2) s"row $i has length $len: a correlation needs at least 2 values"
+    else {
+      var k = 0
+      while (k < len && java.lang.Double.isFinite(r(k))) k += 1
+      if (k < len) s"row $i has the non-finite value ${r(k)} at position $k" else null
+    }
+  }
+
+  /** The sum of r from 0.0 in index order, divided by its length. */
+  private def rowMean(r: Array[Double]): Double = {
+    var s = 0.0
+    var k = 0
+    while (k < r.length) { s += r(k); k += 1 }
+    s / r.length
+  }
+
+  /** The L2 norm of r's deviations from `mean`; 0.0 for a constant row. */
+  private def rowNorm(r: Array[Double], mean: Double): Double = {
+    var ss = 0.0
+    var k = 0
+    while (k < r.length) { val d = r(k) - mean; ss += d * d; k += 1 }
+    math.sqrt(ss)
+  }
+
+  /** The z-scores of `rows`, transposed: `zt(k)(i)` = `zscore(rows)(i)(k)`,
+    * bit for bit. One task per block of `RowBlock` rows on `exec.local`
+    * checks its rows, takes their means and norms, and writes their
+    * z-scores into `zt` one position at a time. A violation of `zscore`'s
+    * contract throws the message `zscore` gives, for the lowest offending
+    * row, at any thread count.
+    */
+  private[core] def zscoreTransposed(rows: Array[Array[Double]], exec: Exec): Array[Array[Double]] = {
+    val n   = rows.length
+    val len = if (n == 0) 0 else rows(0).length
+    val zt  = Array.ofDim[Double](len, n)
+    val bad = new Array[String](numBlocks(n))
+    exec.local.parFor(numBlocks(n)) { b =>
+      val (i0, i1) = blockRows(n, b)
+      var i = i0
+      while (i < i1 && bad(b) == null) { bad(b) = violation(rows, i, len); i += 1 }
+      if (bad(b) == null) {
+        val mean = new Array[Double](i1 - i0)
+        val norm = new Array[Double](i1 - i0)
+        i = i0
+        while (i < i1) { mean(i - i0) = rowMean(rows(i)); norm(i - i0) = rowNorm(rows(i), mean(i - i0)); i += 1 }
+        var k = 0
+        while (k < len) {
+          val y = zt(k)
+          i = i0
+          while (i < i1) {
+            if (norm(i - i0) != 0.0) y(i) = (rows(i)(k) - mean(i - i0)) / norm(i - i0)
+            i += 1
+          }
+          k += 1
+        }
+      }
+    }
+    bad.find(_ != null).foreach(v => require(false, v))
+    zt
   }
 
   /** Rows per parallel task; each task accumulates its rows' cells in
@@ -57,18 +115,14 @@ object Correlation {
   def blockRows(n: Int, b: Int): (Int, Int) = (b * RowBlock, math.min(n, (b + 1) * RowBlock))
 
   /** Full Pearson correlation matrix of the given series (rows = objects).
-    * Diagonal is 1. The z-scored series are transposed once, to
-    * `zt(k)(i)` = position k of row i, and shared; one task per block of
-    * `RowBlock` rows on `exec` runs `upperBlock`, then `mirrorBlock` on
-    * the output.
+    * Diagonal is 1. The z-scored series are written transposed, to
+    * `zt(k)(i)` = position k of row i, in parallel on `exec.local`
+    * (`zscoreTransposed`), and shared; one task per block of `RowBlock`
+    * rows on `exec` runs `upperBlock`, then `mirrorBlock` on the output.
     */
   def pearson(rows: Array[Array[Double]], exec: Exec): SymMatrix = {
-    val z   = zscore(rows)
-    val n   = z.length
-    val len = if (n == 0) 0 else z(0).length
-    val zt  = Array.ofDim[Double](len, n)
-    var i = 0
-    while (i < n) { val r = z(i); var k = 0; while (k < len) { zt(k)(i) = r(k); k += 1 }; i += 1 }
+    val zt  = zscoreTransposed(rows, exec)
+    val n   = rows.length
     val m   = SymMatrix.zeros(n)
     exec.share(zt) { zts =>
       exec.fillRows(m.data, n, numBlocks(n))(blockRows(n, _))(
@@ -85,7 +139,7 @@ object Correlation {
     * The block sums into `RowBlock` accumulator rows of its own, one per
     * row, indexed by the column j, and copies them out at the end. For
     * each panel of `Panel` columns and each chunk of `KChunk` positions,
-    * the block's rows pass over the panel four at a time (`addGroup`).
+    * the block's rows pass over the panel two at a time (`addPair`).
     * Each cell is one accumulator that starts at 0.0 (a cell belongs to
     * one panel) and adds `z_i(k) * z_j(k)` for k = 0 until L in order.
     */
@@ -99,7 +153,7 @@ object Correlation {
       while (k0 < zt.length) {
         val k1 = math.min(zt.length, k0 + KChunk)
         var i = i0
-        while (i < i1) { addGroup(zt, acc, i - i0, i, i1, math.max(j0, i + 1), j1, k0, k1); i += 4 }
+        while (i < i1) { addPair(zt, acc, i - i0, i, i1, math.max(j0, i + 1), j1, k0, k1); i += 2 }
         k0 = k1
       }
       j0 = j1
@@ -109,31 +163,44 @@ object Correlation {
   }
 
   /** Adds `z_i(k) * z_j(k)` for k = k0 until k1, in order, to `acc(r + i - ia)(j)`
-    * for the rows i = ia..ia+3 and the columns j = js until j1. Rows at or
-    * past i1 repeat row i1 - 1 into spare accumulator rows.
+    * for the rows i = ia, ia+1 and the columns j = js until j1. If ia+1 is
+    * i1, row ia is repeated into the spare accumulator row r+1 (`RowBlock`
+    * is even, so it exists).
     *
-    * There is one loop over j per position k, and every array in it is
-    * indexed by j alone: that is what lets C2 vectorise it. An offset on
-    * any index (`y(c + j)`), or a larger body (eight rows, or two
-    * positions per loop), stops it. Each step is a separate multiply and
-    * add (Java never fuses them, and vector lanes round per lane), so every
-    * value is bit-identical to the one-pair-at-a-time loop.
+    * Each pass of the loop over j takes two positions, k and k+1, for the
+    * two rows, and every array in it is indexed by j alone: that is what
+    * lets C2 vectorise it. An offset on any index (`y(c + j)`) stops it.
+    * Of the loop shapes tried (DESIGN.md), two rows by two positions was
+    * the fastest on long series; four rows by two positions, or two by
+    * four, ran at half the speed of four rows by one position.
+    *
+    * Each step is a separate multiply and add, the position k before k+1
+    * (Java never fuses them, and vector lanes round per lane), so every
+    * value is bit-identical to the one-pair-at-a-time loop. An odd chunk
+    * ends with one position alone.
     */
-  private def addGroup(zt: Array[Array[Double]], acc: Array[Array[Double]], r: Int, ia: Int, i1: Int,
-                       js: Int, j1: Int, k0: Int, k1: Int): Unit = {
-    val ib = math.min(ia + 1, i1 - 1); val ic = math.min(ia + 2, i1 - 1); val id = math.min(ia + 3, i1 - 1)
-    val a0 = acc(r); val a1 = acc(r + 1); val a2 = acc(r + 2); val a3 = acc(r + 3)
+  private def addPair(zt: Array[Array[Double]], acc: Array[Array[Double]], r: Int, ia: Int, i1: Int,
+                      js: Int, j1: Int, k0: Int, k1: Int): Unit = {
+    val ib = math.min(ia + 1, i1 - 1)
+    val a0 = acc(r); val a1 = acc(r + 1)
     var k = k0
-    while (k < k1) {
-      val y = zt(k)
-      val x0 = y(ia); val x1 = y(ib); val x2 = y(ic); val x3 = y(id)
+    while (k + 1 < k1) {
+      val y = zt(k); val yb = zt(k + 1)
+      val x0 = y(ia); val x1 = y(ib); val z0 = yb(ia); val z1 = yb(ib)
       var j = js
       while (j < j1) {
-        val v = y(j)
-        a0(j) += x0 * v; a1(j) += x1 * v; a2(j) += x2 * v; a3(j) += x3 * v
+        val v = y(j); val w = yb(j)
+        a0(j) = a0(j) + x0 * v + z0 * w
+        a1(j) = a1(j) + x1 * v + z1 * w
         j += 1
       }
-      k += 1
+      k += 2
+    }
+    if (k < k1) {
+      val y = zt(k)
+      val x0 = y(ia); val x1 = y(ib)
+      var j = js
+      while (j < j1) { val v = y(j); a0(j) += x0 * v; a1(j) += x1 * v; j += 1 }
     }
   }
 

@@ -289,10 +289,12 @@ object Tmfg {
         // --- GAINS update: one rescan task per dirty face ---
         val tris = dirty.take(numDirty).map(f => faceVerts.slice(3 * f, 3 * f + 3))
         val rc = remCount // a task captures this value, not the var
-        // a rescan costs O(remCount); only fan out when the batch carries
-        // enough total work to amortize task submission
+        // a rescan reads 3 remCount cells of S; a task takes at least
+        // 2000 / remCount faces, so a round of a few rescans on a long
+        // remaining list still spreads over the workers, and a late
+        // round with a short list stays whole
         val lists = exec.share(rem) { rm =>
-          exec.map(tris, math.max(1, 20000 / rc))(t => candidates(sd(), n, t(0), t(1), t(2), rm(), rc))
+          exec.map(tris, math.max(1, 2000 / rc))(t => candidates(sd(), n, t(0), t(1), t(2), rm(), rc))
         }
         for (i <- 0 until numDirty) {
           val f = dirty(i)

@@ -32,8 +32,8 @@ class CorrelationSpec extends AnyFunSuite {
     assert(z(0).forall(_ == 0.0))
   }
 
-  private def rejected(rows: Array[Array[Double]]): String =
-    intercept[IllegalArgumentException](Par.withThreads(1)(par => Correlation.pearson(rows, par))).getMessage
+  private def rejected(rows: Array[Array[Double]], threads: Int = 1): String =
+    intercept[IllegalArgumentException](Par.withThreads(threads)(par => Correlation.pearson(rows, par))).getMessage
 
   test("ragged rows are rejected, naming the row") {
     val msg = rejected(Array(Array(1.0, 2.0, 3.0), Array(1.0, 2.0, 3.0), Array(1.0, 2.0, 3.0, 4.0, 5.0)))
@@ -54,6 +54,60 @@ class CorrelationSpec extends AnyFunSuite {
     for (len <- Seq(0, 1)) {
       val msg = rejected(Array.fill(3)(Array.fill(len)(1.0)))
       assert(msg.contains("row 0") && msg.contains("at least 2"), msg)
+    }
+  }
+
+  /** 64 rows of length 40 in two 32-row blocks, with the given rows spoilt by `spoil`. */
+  private def spoilt(badRows: Seq[Int], spoil: Array[Double] => Array[Double]): Array[Array[Double]] = {
+    val rows = Array.tabulate(64)(i => Array.tabulate(40)(t => math.sin(0.3 * i + t)))
+    for (i <- badRows) rows(i) = spoil(rows(i))
+    rows
+  }
+
+  private val spoils: Seq[(String, Array[Double] => Array[Double])] = Seq(
+    "ragged" -> (r => r ++ Array(1.0)),
+    "NaN" -> (r => r.updated(7, Double.NaN)),
+    "+Inf" -> (r => r.updated(7, Double.PositiveInfinity)),
+    "-Inf" -> (r => r.updated(7, Double.NegativeInfinity)))
+
+  test("each rejection gives the same message on 4 threads as on 1") {
+    for ((name, spoil) <- spoils; bad <- Seq(0, 5, 31, 32, 63)) {
+      val rows = spoilt(Seq(bad), spoil)
+      // a ragged row 0 makes every other row the ragged one
+      val named = if (name == "ragged" && bad == 0) 1 else bad
+      val msg = rejected(rows)
+      assert(msg.contains(s"row $named "), s"$name at $bad: $msg")
+      assert(rejected(rows, 4) == msg, s"$name at $bad")
+      assert(intercept[IllegalArgumentException](Correlation.zscore(rows)).getMessage == msg, s"$name at $bad")
+    }
+    for (len <- Seq(0, 1)) {
+      val rows = Array.fill(64)(Array.fill(len)(1.0))
+      assert(rejected(rows, 4) == rejected(rows), s"len=$len")
+    }
+  }
+
+  test("with bad rows in two blocks, the message names the lower row at any thread count") {
+    for ((name, spoil) <- spoils; threads <- Seq(1, 2, 4)) {
+      val msg = rejected(spoilt(Seq(40, 3), spoil), threads)
+      assert(msg.contains("row 3 ") && !msg.contains("row 40"), s"$name threads=$threads: $msg")
+    }
+  }
+
+  test("the transposed z-scores equal the transpose of zscore bit for bit") {
+    val rng = new Random(6)
+    for (n <- Seq(1, 31, 33, 70); len <- Seq(2, 5, 129)) {
+      val rows = Array.fill(n)(Array.fill(len)(rng.nextGaussian() * 3 + 1))
+      if (n >= 3) rows(n / 2) = Array.fill(len)(-4.25)                                    // constant
+      if (n >= 31) rows(30) = Array.tabulate(len)(t => if (t % 3 == 0) -0.0 else 0.0)    // all ±0.0
+      if (n >= 33) rows(32) = Array.fill(len)(-0.0)
+      val z = Correlation.zscore(rows)
+      for (threads <- Seq(1, 4)) {
+        val zt = Par.withThreads(threads)(Correlation.zscoreTransposed(rows, _))
+        assert(zt.length == len)
+        for (k <- 0 until len; i <- 0 until n)
+          assert(java.lang.Double.doubleToRawLongBits(zt(k)(i)) == java.lang.Double.doubleToRawLongBits(z(i)(k)),
+            s"n=$n len=$len threads=$threads ($i, $k)")
+      }
     }
   }
 
